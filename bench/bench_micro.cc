@@ -9,6 +9,7 @@
 #include "src/core/operators.h"
 #include "src/core/selection.h"
 #include "src/data/synthetic.h"
+#include "src/dataframe/binning.h"
 #include "src/gbdt/booster.h"
 #include "src/stats/auc.h"
 #include "src/stats/correlation.h"
@@ -91,6 +92,34 @@ void BM_OperatorApply(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_OperatorApply)->Arg(1000)->Arg(100000);
+
+void BM_EqualFrequencyEdges(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  auto values = RandomColumn(n, 11);
+  for (auto _ : state) {
+    auto edges = EqualFrequencyEdges(values, 256);
+    benchmark::DoNotOptimize(edges);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_EqualFrequencyEdges)->Arg(10000)->Arg(131072)->Arg(1 << 20);
+
+// Bin lookups over 9 edges (the IV filter's 10 bins) or 255 (the GBDT
+// quantizer's 256).
+void BM_BinIndex(benchmark::State& state) {
+  const size_t num_bins = static_cast<size_t>(state.range(0)) + 1;
+  auto edges = EqualFrequencyEdges(RandomColumn(100000, 12), num_bins);
+  auto probes = RandomColumn(4096, 13);
+  for (auto _ : state) {
+    size_t sum = 0;
+    for (double probe : probes) sum += edges->BinIndex(probe);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(probes.size()));
+}
+BENCHMARK(BM_BinIndex)->Arg(9)->Arg(255);
 
 Dataset MicroDataset(size_t rows, size_t features) {
   data::SyntheticSpec spec;

@@ -220,8 +220,7 @@ class DiscretizeOp : public UnaryMathOp {
   }
   double Apply(const double* in,
                const std::vector<double>& params) const override {
-    BinEdges edges{params};
-    return static_cast<double>(edges.BinIndex(in[0]));
+    return static_cast<double>(BinIndexOf(params, in[0]));
   }
 };
 
@@ -261,10 +260,7 @@ class GroupByOp : public Operator {
   double Apply(const double* in,
                const std::vector<double>& params) const override {
     const size_t num_edges = static_cast<size_t>(params[0]);
-    BinEdges edges{std::vector<double>(params.begin() + 1,
-                                       params.begin() + 1 +
-                                           static_cast<long>(num_edges))};
-    const size_t bin = edges.BinIndex(in[0]);
+    const size_t bin = BinIndexOf({params.data() + 1, num_edges}, in[0]);
     return params[1 + num_edges + bin];
   }
 

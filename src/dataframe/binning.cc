@@ -1,56 +1,105 @@
 #include "src/dataframe/binning.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "src/obs/metrics.h"
 
 namespace safe {
 
-size_t BinEdges::BinIndex(double value) const {
-  if (std::isnan(value)) return missing_bin();
-  // First edge >= value  ->  bin = count of edges < value.
-  return static_cast<size_t>(
-      std::lower_bound(edges.begin(), edges.end(), value) - edges.begin());
+namespace {
+
+constexpr size_t kDigitBits = 8;
+constexpr size_t kPasses = 64 / kDigitBits;
+constexpr size_t kBuckets = size_t{1} << kDigitBits;
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+
+/// Per-pass digit histograms of a key buffer, counted while it is built.
+using DigitCounts = std::array<std::array<size_t, kBuckets>, kPasses>;
+
+/// Order-preserving key: unsigned order on keys is a total order on the
+/// bits of non-NaN doubles, -inf < ... < -0.0 < +0.0 < ... < +inf.
+/// Negative values flip every bit, the rest only the sign bit.
+uint64_t OrderedKey(double value) {
+  const uint64_t bits = std::bit_cast<uint64_t>(value);
+  return bits ^ ((bits & kSignBit) != 0 ? ~uint64_t{0} : kSignBit);
 }
 
-namespace {
-Result<std::vector<double>> SortedNonMissing(
-    const std::vector<double>& values) {
-  std::vector<double> sorted;
-  sorted.reserve(values.size());
-  for (double v : values) {
-    if (!std::isnan(v)) sorted.push_back(v);
+double FromOrderedKey(uint64_t key) {
+  return std::bit_cast<double>(key ^
+                               ((key & kSignBit) != 0 ? kSignBit : ~uint64_t{0}));
+}
+
+/// Appends the keys of the non-missing values in [values, values + len),
+/// counting every pass's digits on the way.
+void AppendKeys(const double* values, size_t len, std::vector<uint64_t>* keys,
+                DigitCounts* counts) {
+  for (size_t i = 0; i < len; ++i) {
+    if (std::isnan(values[i])) continue;
+    const uint64_t key = OrderedKey(values[i]);
+    keys->push_back(key);
+    for (size_t p = 0; p < kPasses; ++p) {
+      ++(*counts)[p][(key >> (p * kDigitBits)) & (kBuckets - 1)];
+    }
   }
-  if (sorted.empty()) {
+}
+
+/// LSD radix sort of `keys` ascending, ping-ponging with one scratch
+/// buffer of the same size. A pass whose digit is the same for every key
+/// would copy the buffer unchanged, so it is skipped.
+Result<std::vector<uint64_t>> RadixSorted(std::vector<uint64_t> keys,
+                                          DigitCounts* counts) {
+  if (keys.empty()) {
     return Status::InvalidArgument("binning: all values are missing");
   }
-  std::sort(sorted.begin(), sorted.end());
-  return sorted;
+  std::vector<uint64_t> scratch(keys.size());
+  for (size_t p = 0; p < kPasses; ++p) {
+    const size_t shift = p * kDigitBits;
+    auto& offsets = (*counts)[p];
+    if (offsets[(keys[0] >> shift) & (kBuckets - 1)] == keys.size()) continue;
+    size_t next = 0;
+    for (size_t& offset : offsets) {
+      const size_t count = offset;
+      offset = next;
+      next += count;
+    }
+    for (uint64_t key : keys) {
+      scratch[offsets[(key >> shift) & (kBuckets - 1)]++] = key;
+    }
+    keys.swap(scratch);
+  }
+  return keys;
 }
 
-/// Column analogue of SortedNonMissing: the filter walks rows in the same
-/// ascending order (span by span), so the pre-sort sequence — and hence
-/// the sorted result — is bit-identical to the dense path.
-Result<std::vector<double>> SortedNonMissingColumn(const Column& column) {
-  std::vector<double> sorted;
-  sorted.reserve(column.size());
+/// Sorted keys of the non-missing values.
+Result<std::vector<uint64_t>> SortedNonMissing(
+    const std::vector<double>& values) {
+  std::vector<uint64_t> keys;
+  keys.reserve(values.size());
+  DigitCounts counts{};
+  AppendKeys(values.data(), values.size(), &keys, &counts);
+  return RadixSorted(std::move(keys), &counts);
+}
+
+/// Column analogue of SortedNonMissing, built span by span. Radix order
+/// depends only on the key bits, so the result equals the dense path's.
+Result<std::vector<uint64_t>> SortedNonMissingColumn(const Column& column) {
+  std::vector<uint64_t> keys;
+  keys.reserve(column.size());
+  DigitCounts counts{};
   column.ForEachSpan(0, column.size(),
                      [&](size_t, const double* values, size_t len) {
-                       for (size_t i = 0; i < len; ++i) {
-                         if (!std::isnan(values[i])) {
-                           sorted.push_back(values[i]);
-                         }
-                       }
+                       AppendKeys(values, len, &keys, &counts);
                      });
-  if (sorted.empty()) {
-    return Status::InvalidArgument("binning: all values are missing");
-  }
-  std::sort(sorted.begin(), sorted.end());
-  return sorted;
+  return RadixSorted(std::move(keys), &counts);
 }
 
-BinEdges EqualFrequencyEdgesFromSorted(const std::vector<double>& sorted,
+/// Reads the <= num_bins - 1 quantile ranks and the maximum straight from
+/// the sorted keys.
+BinEdges EqualFrequencyEdgesFromSorted(const std::vector<uint64_t>& sorted,
                                        size_t num_bins) {
   BinEdges out;
   const size_t n = sorted.size();
@@ -58,14 +107,15 @@ BinEdges EqualFrequencyEdgesFromSorted(const std::vector<double>& sorted,
     // Quantile cut at rank b/num_bins (inclusive upper edge).
     size_t rank = (b * n) / num_bins;
     if (rank == 0) continue;
-    double edge = sorted[rank - 1];
+    double edge = FromOrderedKey(sorted[rank - 1]);
     if (out.edges.empty() || edge > out.edges.back()) {
       out.edges.push_back(edge);
     }
   }
   // Drop a trailing edge equal to the maximum, which would create an
   // empty final bin.
-  while (!out.edges.empty() && out.edges.back() >= sorted.back()) {
+  const double max = FromOrderedKey(sorted.back());
+  while (!out.edges.empty() && out.edges.back() >= max) {
     out.edges.pop_back();
   }
   return out;
@@ -80,7 +130,7 @@ Result<BinEdges> EqualFrequencyEdges(const std::vector<double>& values,
   static obs::Counter* fits =
       obs::MetricsRegistry::Global()->counter("binning.equal_frequency_fits");
   fits->Increment();
-  SAFE_ASSIGN_OR_RETURN(std::vector<double> sorted,
+  SAFE_ASSIGN_OR_RETURN(std::vector<uint64_t> sorted,
                         SortedNonMissing(values));
   return EqualFrequencyEdgesFromSorted(sorted, num_bins);
 }
@@ -92,7 +142,7 @@ Result<BinEdges> EqualFrequencyEdges(const Column& column, size_t num_bins) {
   static obs::Counter* fits =
       obs::MetricsRegistry::Global()->counter("binning.equal_frequency_fits");
   fits->Increment();
-  SAFE_ASSIGN_OR_RETURN(std::vector<double> sorted,
+  SAFE_ASSIGN_OR_RETURN(std::vector<uint64_t> sorted,
                         SortedNonMissingColumn(column));
   return EqualFrequencyEdgesFromSorted(sorted, num_bins);
 }
@@ -102,10 +152,10 @@ Result<BinEdges> EqualWidthEdges(const std::vector<double>& values,
   if (num_bins < 2) {
     return Status::InvalidArgument("num_bins must be >= 2");
   }
-  SAFE_ASSIGN_OR_RETURN(std::vector<double> sorted,
+  SAFE_ASSIGN_OR_RETURN(std::vector<uint64_t> sorted,
                         SortedNonMissing(values));
-  const double lo = sorted.front();
-  const double hi = sorted.back();
+  const double lo = FromOrderedKey(sorted.front());
+  const double hi = FromOrderedKey(sorted.back());
   BinEdges out;
   if (lo == hi) return out;  // constant column -> single bin
   const double width = (hi - lo) / static_cast<double>(num_bins);
@@ -120,8 +170,9 @@ Result<BinEdges> KMeansEdges(const std::vector<double>& values,
   if (num_bins < 2) {
     return Status::InvalidArgument("num_bins must be >= 2");
   }
-  SAFE_ASSIGN_OR_RETURN(std::vector<double> sorted,
-                        SortedNonMissing(values));
+  SAFE_ASSIGN_OR_RETURN(std::vector<uint64_t> keys, SortedNonMissing(values));
+  std::vector<double> sorted(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) sorted[i] = FromOrderedKey(keys[i]);
   // Initial centers at quantiles; duplicates collapse.
   std::vector<double> centers;
   for (size_t k = 0; k < num_bins; ++k) {

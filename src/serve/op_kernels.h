@@ -1,11 +1,11 @@
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 
+#include "src/dataframe/binning.h"
 #include "src/gbdt/loss.h"
 
 namespace safe {
@@ -48,23 +48,16 @@ inline double Abs(double a) { return std::fabs(a); }
 inline double Zscore(double a, const double* prm) {
   return (a - prm[0]) / prm[1];
 }
-/// BinEdges::BinIndex over the edge span: count of edges < value.
+/// DiscretizeOp::Apply: BinIndexOf over the edge span.
 inline double Discretize(double a, const double* prm, size_t param_count) {
-  const double* end = prm + param_count;
-  return static_cast<double>(std::lower_bound(prm, end, a) - prm);
+  return static_cast<double>(BinIndexOf({prm, param_count}, a));
 }
 /// Shared body of the five group-by aggregates. Params layout:
 /// [n, edge_0..edge_{n-1}, agg_bin_0..agg_bin_{n+1}]; NaN keys land in
 /// the missing bin (BinEdges::missing_bin() == n + 1).
 inline double GroupBy(double a, const double* prm) {
   const size_t n = static_cast<size_t>(prm[0]);
-  const double* edges = prm + 1;
-  const size_t bin =
-      std::isnan(a)
-          ? n + 1
-          : static_cast<size_t>(std::lower_bound(edges, edges + n, a) -
-                                edges);
-  return prm[1 + n + bin];
+  return prm[1 + n + BinIndexOf({prm + 1, n}, a)];
 }
 inline double Ridge(double a, double b, const double* prm) {
   return b - (prm[0] * a + prm[1]);

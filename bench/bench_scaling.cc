@@ -217,6 +217,7 @@ size_t PeakRssBytes() {
 struct ScalingGate {
   double max_peak_rss_bytes = 0.0;       // 0 = disabled
   double min_external_rows_per_s = 0.0;  // 0 = disabled
+  double max_spill_read_bytes = 0.0;     // 0 = disabled
   bool require_identical = false;
 };
 
@@ -249,6 +250,15 @@ Result<ScalingGate> ReadScalingGate(const std::string& baseline_path) {
           "': min_external_rows_per_s must be a number");
     }
     gate.min_external_rows_per_s = rate->number_value();
+  }
+  const obs::JsonValue* read_back = doc.Find("max_spill_read_bytes");
+  if (read_back != nullptr) {
+    if (read_back->type() != obs::JsonValue::Type::kNumber) {
+      return Status::InvalidArgument(
+          "gate baseline '" + baseline_path +
+          "': max_spill_read_bytes must be a number");
+    }
+    gate.max_spill_read_bytes = read_back->number_value();
   }
   const obs::JsonValue* identical = doc.Find("require_identical");
   if (identical != nullptr) {
@@ -492,6 +502,14 @@ int ExternalMemoryMain(const Flags& flags, bool quick) {
       std::cerr << "scaling gate failed: " << FormatDouble(external_rows_per_s, 0)
                 << " rows/s below floor "
                 << FormatDouble(gate->min_external_rows_per_s, 0) << "\n";
+      failed = true;
+    }
+    if (gate->max_spill_read_bytes > 0 &&
+        static_cast<double>(spill.spill_read_bytes) >
+            gate->max_spill_read_bytes) {
+      std::cerr << "scaling gate failed: spill read-back "
+                << spill.spill_read_bytes << " bytes exceeds ceiling "
+                << FormatDouble(gate->max_spill_read_bytes, 0) << "\n";
       failed = true;
     }
     if (failed) return 1;

@@ -103,11 +103,16 @@ Result<DataFrame> DataFrame::Concat(const DataFrame& other) const {
   return out;
 }
 
-FrameWindow::FrameWindow(const DataFrame& frame, size_t lo, size_t hi)
+FrameWindow::FrameWindow(const DataFrame& frame,
+                         const std::vector<size_t>& columns, size_t lo,
+                         size_t hi)
     : lo_(lo), hi_(hi) {
   SAFE_CHECK(lo < hi && hi <= frame.num_rows());
-  cols_.resize(frame.num_columns());
-  for (size_t c = 0; c < frame.num_columns(); ++c) {
+  cols_.assign(frame.num_columns(), nullptr);
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const size_t c = columns[i];
+    SAFE_CHECK(c < frame.num_columns() && (i == 0 || columns[i - 1] < c))
+        << "FrameWindow: columns must be strictly ascending and in range";
     const Column& col = frame.column(c);
     if (col.chunked()) {
       spans_.push_back(col.chunks()->PinSpan(lo, hi));

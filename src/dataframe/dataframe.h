@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/dataframe/column.h"
@@ -73,29 +74,38 @@ class DataFrame {
   std::unordered_map<std::string, size_t> index_;
 };
 
-/// \brief A pinned row window [lo, hi) over every column of a frame.
+/// \brief A pinned row window [lo, hi) over some columns of a frame.
 ///
-/// Pins each chunked column's containing row group once at construction
-/// (so the window must not straddle a group boundary — guaranteed when
-/// the window is a ParallelForChunks chunk whose grain divides the
-/// frame's group_rows) and exposes allocation-free random access inside
-/// the window. Dense columns need no pin; their pointer is the shared
-/// buffer offset by lo.
+/// Pins the containing row group of each listed chunked column once at
+/// construction (so the window must not straddle a group boundary —
+/// guaranteed when the window is a ParallelForChunks chunk whose grain
+/// divides the frame's group_rows) and exposes allocation-free random
+/// access inside the window. Dense columns need no pin; their pointer is
+/// the shared buffer offset by lo. Only the listed columns are pinned: a
+/// tree traversal reads its split features and nothing else, so the
+/// other columns' row groups stay where they are.
 class FrameWindow {
  public:
-  FrameWindow(const DataFrame& frame, size_t lo, size_t hi);
+  /// `columns` must be strictly ascending, which keeps the pool's fault
+  /// sequence a function of the column set.
+  FrameWindow(const DataFrame& frame, const std::vector<size_t>& columns,
+              size_t lo, size_t hi);
 
   size_t lo() const { return lo_; }
   size_t hi() const { return hi_; }
 
   // lint: hot-path
-  double at(size_t row, size_t col) const { return cols_[col][row - lo_]; }
+  double at(size_t row, size_t col) const {
+    SAFE_DCHECK(cols_[col] != nullptr) << "column " << col << " not pinned";
+    return cols_[col][row - lo_];
+  }
 
  private:
   size_t lo_ = 0;
   size_t hi_ = 0;
   std::vector<ChunkedVector<double>::Span> spans_;
-  std::vector<const double*> cols_;  ///< per column, points at row lo_
+  /// Per column, points at row lo_; null for a column not pinned.
+  std::vector<const double*> cols_;
 };
 
 /// \brief A supervised dataset: features plus a binary {0,1} label vector.

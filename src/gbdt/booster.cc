@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <map>
 #include <memory>
-#include <set>
+#include <span>
 #include <sstream>
 
 #include "src/common/random.h"
@@ -47,10 +48,23 @@ obs::Histogram* TreeFitHistogram() {
 /// invariant (each row is written independently anyway).
 constexpr size_t kPredictRowGrain = 2048;
 
-/// Tree traversal over a pinned row window for one row index. All
-/// prediction loops chunk rows at kPredictRowGrain (which divides every
-/// legal row-group size), so each chunk's window pins one row group per
-/// chunked column and traversal stays allocation-free.
+/// Sorted distinct split features of `trees`: the only columns their
+/// traversal reads, so the only ones its FrameWindow pins.
+std::vector<size_t> SplitColumns(std::span<const RegressionTree> trees) {
+  std::vector<size_t> columns;
+  for (const auto& tree : trees) {
+    for (const auto& node : tree.nodes()) {
+      if (!node.is_leaf()) {
+        columns.push_back(static_cast<size_t>(node.feature));
+      }
+    }
+  }
+  std::sort(columns.begin(), columns.end());
+  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
+  return columns;
+}
+
+/// Tree traversal over a pinned row window for one row index.
 double PredictTreeOnWindow(const RegressionTree& tree,
                            const FrameWindow& window, size_t row) {
   const auto& nodes = tree.nodes();
@@ -66,6 +80,40 @@ double PredictTreeOnWindow(const RegressionTree& tree,
     }
   }
   return nodes[static_cast<size_t>(idx)].value;
+}
+
+/// Adds each tree's leaf value, in tree order, to margins[r] for every r
+/// in the ascending list `rows`, or for every row of `x` when `rows` is
+/// null. Rows go out in kPredictRowGrain chunks (the grain divides every
+/// legal row-group size), so each chunk's window pins one row group per
+/// chunked split column and traversal stays allocation-free; a chunk
+/// holding none of `rows` pins nothing. Each row is written by one task
+/// only, so the result is exact at any thread count.
+void AddTreeMargins(std::span<const RegressionTree> trees, const DataFrame& x,
+                    const std::vector<size_t>* rows, ThreadPool* pool,
+                    std::vector<double>* margins) {
+  const std::vector<size_t> columns = SplitColumns(trees);
+  ParallelForChunks(
+      pool, 0, x.num_rows(), kPredictRowGrain,
+      [&](size_t, size_t lo, size_t hi) {
+        std::span<const size_t> subset;  // this chunk's slice of `rows`
+        if (rows != nullptr) {
+          const auto first = std::lower_bound(rows->begin(), rows->end(), lo);
+          subset = {first, std::lower_bound(first, rows->end(), hi)};
+          if (subset.empty()) return;
+        }
+        FrameWindow window(x, columns, lo, hi);
+        auto add = [&](size_t r) {
+          for (const auto& tree : trees) {
+            (*margins)[r] += PredictTreeOnWindow(tree, window, r);
+          }
+        };
+        if (rows == nullptr) {
+          for (size_t r = lo; r < hi; ++r) add(r);
+        } else {
+          for (size_t r : subset) add(r);
+        }
+      });
 }
 
 }  // namespace
@@ -130,8 +178,10 @@ Result<Booster> Booster::Fit(const Dataset& train, const Dataset* valid,
   model.base_score_ = BaseScore(params.objective, *train.y);
 
   std::vector<double> margins(n, model.base_score_);
+  // Validation margins feed early stopping and nothing else.
+  const bool early_stopping = params.early_stopping_rounds > 0;
   std::vector<double> valid_margins;
-  if (valid != nullptr) {
+  if (early_stopping) {
     valid_margins.assign(valid->num_rows(), model.base_score_);
   }
 
@@ -156,17 +206,23 @@ Result<Booster> Booster::Fit(const Dataset& train, const Dataset* valid,
     ComputeGradients(params.objective, margins, *train.y, &grad, &hess,
                      pool);
 
-    // Row subsampling.
+    // Row subsampling; `unsampled` holds the rows this tree does not see.
     std::vector<size_t> rows;
+    std::vector<size_t> unsampled;
     if (params.subsample >= 1.0) {
       rows.resize(n);
       for (size_t i = 0; i < n; ++i) rows[i] = i;
     } else {
       rows.reserve(static_cast<size_t>(params.subsample * n) + 1);
       for (size_t i = 0; i < n; ++i) {
-        if (rng.NextBernoulli(params.subsample)) rows.push_back(i);
+        (rng.NextBernoulli(params.subsample) ? rows : unsampled).push_back(i);
       }
-      if (rows.empty()) rows.push_back(rng.NextUint64Below(n));
+      if (rows.empty()) {
+        // Nothing was sampled, so `unsampled` is [0, n): move one row over.
+        const size_t pick = rng.NextUint64Below(n);
+        rows.push_back(pick);
+        unsampled.erase(unsampled.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
     }
 
     // Column subsampling.
@@ -182,45 +238,33 @@ Result<Booster> Booster::Fit(const Dataset& train, const Dataset* valid,
       std::sort(features.begin(), features.end());
     }
 
+    // The trainer adds each leaf's value to the margins of the rows it
+    // partitions there, so only the rows it did not see are traversed.
     RegressionTree tree =
         params.tree_method == TreeMethod::kExact
-            ? exact_trainer.Train(grad, hess, rows, features)
-            : hist_trainer.Train(grad, hess, rows, features);
-    // Update margins over the full training set (each row independent).
-    ParallelForChunks(pool, 0, n, kPredictRowGrain,
-                      [&](size_t, size_t lo, size_t hi) {
-                        FrameWindow window(train.x, lo, hi);
-                        for (size_t i = lo; i < hi; ++i) {
-                          margins[i] += PredictTreeOnWindow(tree, window, i);
-                        }
-                      });
+            ? exact_trainer.Train(grad, hess, rows, features, &margins)
+            : hist_trainer.Train(grad, hess, rows, features, &margins);
+    if (!unsampled.empty()) {
+      AddTreeMargins({&tree, 1}, train.x, &unsampled, pool, &margins);
+    }
     model.trees_.push_back(std::move(tree));
     model.best_iteration_ = model.trees_.size() - 1;
     TreesTrainedCounter()->Increment();
     TreeFitHistogram()->Observe(
         static_cast<double>(obs::NowNanos() - tree_start_ns) / 1e3);
 
-    if (valid != nullptr) {
-      const auto& t = model.trees_.back();
-      ParallelForChunks(pool, 0, valid_margins.size(), kPredictRowGrain,
-                        [&](size_t, size_t lo, size_t hi) {
-                          FrameWindow window(valid->x, lo, hi);
-                          for (size_t i = lo; i < hi; ++i) {
-                            valid_margins[i] +=
-                                PredictTreeOnWindow(t, window, i);
-                          }
-                        });
-      if (params.early_stopping_rounds > 0) {
-        const double loss =
-            ComputeLoss(params.objective, valid_margins, *valid->y);
-        if (loss + 1e-12 < best_valid_loss) {
-          best_valid_loss = loss;
-          best_iter = round;
-        } else if (round - best_iter >= params.early_stopping_rounds) {
-          model.trees_.resize(best_iter + 1);
-          model.best_iteration_ = best_iter;
-          break;
-        }
+    if (early_stopping) {
+      AddTreeMargins({&model.trees_.back(), 1}, valid->x, nullptr, pool,
+                     &valid_margins);
+      const double loss =
+          ComputeLoss(params.objective, valid_margins, *valid->y);
+      if (loss + 1e-12 < best_valid_loss) {
+        best_valid_loss = loss;
+        best_iter = round;
+      } else if (round - best_iter >= params.early_stopping_rounds) {
+        model.trees_.resize(best_iter + 1);
+        model.best_iteration_ = best_iter;
+        break;
       }
     }
   }
@@ -233,19 +277,9 @@ Result<std::vector<double>> Booster::PredictMargin(const DataFrame& x) const {
         "gbdt predict: expected " + std::to_string(num_features_) +
         " features, got " + std::to_string(x.num_columns()));
   }
-  // Batch inference fans rows out over the shared pool; margins[r] is
-  // only ever touched by the task owning row r, so the result is exact
-  // at any thread count.
+  // Batch inference fans rows out over the shared pool.
   std::vector<double> margins(x.num_rows(), base_score_);
-  ParallelForChunks(ThreadPool::Global(), 0, x.num_rows(), kPredictRowGrain,
-                    [&](size_t, size_t lo, size_t hi) {
-                      FrameWindow window(x, lo, hi);
-                      for (size_t r = lo; r < hi; ++r) {
-                        for (const auto& tree : trees_) {
-                          margins[r] += PredictTreeOnWindow(tree, window, r);
-                        }
-                      }
-                    });
+  AddTreeMargins(trees_, x, nullptr, ThreadPool::Global(), &margins);
   return margins;
 }
 
@@ -277,13 +311,8 @@ std::vector<TreePath> Booster::ExtractAllPaths() const {
 }
 
 std::vector<int> Booster::SplitFeatures() const {
-  std::set<int> features;
-  for (const auto& tree : trees_) {
-    for (const auto& node : tree.nodes()) {
-      if (!node.is_leaf()) features.insert(node.feature);
-    }
-  }
-  return std::vector<int>(features.begin(), features.end());
+  const std::vector<size_t> columns = SplitColumns(trees_);
+  return std::vector<int>(columns.begin(), columns.end());
 }
 
 std::vector<FeatureImportance> Booster::FeatureImportances() const {
@@ -340,8 +369,14 @@ Result<Booster> Booster::Deserialize(const std::string& text) {
   if (!in || key != "objective") {
     return Status::InvalidArgument("booster deserialize: missing objective");
   }
-  model.objective_ =
-      objective == "logistic" ? Objective::kLogistic : Objective::kSquared;
+  if (objective == "logistic") {
+    model.objective_ = Objective::kLogistic;
+  } else if (objective == "squared") {
+    model.objective_ = Objective::kSquared;
+  } else {
+    return Status::InvalidArgument(
+        "booster deserialize: unknown objective '" + objective + "'");
+  }
   in >> key >> model.num_features_;
   if (!in || key != "num_features") {
     return Status::InvalidArgument(
@@ -378,8 +413,9 @@ Result<Booster> Booster::Deserialize(const std::string& text) {
       }
       block << "\n";
     }
-    SAFE_ASSIGN_OR_RETURN(RegressionTree tree,
-                          RegressionTree::Deserialize(block.str()));
+    SAFE_ASSIGN_OR_RETURN(
+        RegressionTree tree,
+        RegressionTree::Deserialize(block.str(), model.num_features_));
     model.trees_.push_back(std::move(tree));
   }
   model.best_iteration_ = model.trees_.empty() ? 0 : model.trees_.size() - 1;

@@ -32,7 +32,8 @@ class Booster {
  public:
   Booster() = default;
 
-  /// Trains an ensemble. `valid` may be null; early stopping requires it.
+  /// Trains an ensemble. `valid` may be null; it is read only for early
+  /// stopping, which requires it.
   [[nodiscard]] static Result<Booster> Fit(const Dataset& train, const Dataset* valid,
                              const GbdtParams& params);
 

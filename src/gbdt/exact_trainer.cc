@@ -110,8 +110,8 @@ ExactTreeTrainer::SplitCandidate ExactTreeTrainer::FindBestSplit(
 
 RegressionTree ExactTreeTrainer::Train(
     const std::vector<double>& grad, const std::vector<double>& hess,
-    const std::vector<size_t>& rows,
-    const std::vector<int>& features) const {
+    const std::vector<size_t>& rows, const std::vector<int>& features,
+    std::vector<double>* margins) const {
   struct NodeTask {
     int node_index;
     size_t depth;
@@ -139,9 +139,12 @@ RegressionTree ExactTreeTrainer::Train(
     NodeTask task = std::move(stack.back());
     stack.pop_back();
 
+    // The partition below compares exactly as PredictRow does, so the
+    // leaf's rows are the rows a traversal would bring here.
     auto make_leaf = [&]() {
-      nodes[static_cast<size_t>(task.node_index)].value =
-          -lr * task.sum_grad / (task.sum_hess + lambda);
+      const double value = -lr * task.sum_grad / (task.sum_hess + lambda);
+      nodes[static_cast<size_t>(task.node_index)].value = value;
+      for (size_t r : task.rows) (*margins)[r] += value;
     };
     if (task.depth >= params_->max_depth || task.rows.size() < 2) {
       make_leaf();

@@ -25,10 +25,15 @@ class ExactTreeTrainer {
   /// \param grad,hess  per-row statistics (full length).
   /// \param rows       training rows for this tree.
   /// \param features   candidate feature indices.
+  /// \param margins    per-row margins (full length): each leaf's value is
+  ///                   added to margins[r] for every r in `rows` that the
+  ///                   partition sends there, which is the leaf PredictRow
+  ///                   reaches on row r (both compare `v <= threshold`).
   RegressionTree Train(const std::vector<double>& grad,
                        const std::vector<double>& hess,
                        const std::vector<size_t>& rows,
-                       const std::vector<int>& features) const;
+                       const std::vector<int>& features,
+                       std::vector<double>* margins) const;
 
  private:
   struct SplitCandidate {

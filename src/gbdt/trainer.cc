@@ -184,7 +184,8 @@ TreeTrainer::SplitCandidate TreeTrainer::FindBestSplit(
 RegressionTree TreeTrainer::Train(const std::vector<double>& grad,
                                   const std::vector<double>& hess,
                                   const std::vector<size_t>& rows,
-                                  const std::vector<int>& features) const {
+                                  const std::vector<int>& features,
+                                  std::vector<double>* margins) const {
   struct NodeTask {
     int node_index;
     size_t depth;
@@ -244,9 +245,14 @@ RegressionTree TreeTrainer::Train(const std::vector<double>& grad,
     NodeTask task = std::move(stack.back());
     stack.pop_back();
 
+    // The leaf's rows are exactly the rows a traversal of the finished
+    // tree sends here: bin <= split.bin holds iff v <= edges[split.bin],
+    // the node's threshold, and the missing bin follows default_left as
+    // isnan does (DESIGN.md §9). So the margin update reads no column.
     auto make_leaf = [&]() {
-      nodes[static_cast<size_t>(task.node_index)].value =
-          -lr * task.sum_grad / (task.sum_hess + lambda);
+      const double value = -lr * task.sum_grad / (task.sum_hess + lambda);
+      nodes[static_cast<size_t>(task.node_index)].value = value;
+      for (size_t r : task.rows) (*margins)[r] += value;
     };
 
     if (task.depth >= params_->max_depth || task.rows.size() < 2) {

@@ -45,11 +45,18 @@ class TreeTrainer {
   /// \param grad,hess  per-row gradient statistics (full length).
   /// \param rows       training rows for this tree (after subsampling).
   /// \param features   candidate feature indices (after column sampling).
+  /// \param margins    per-row margins (full length): each leaf's value is
+  ///                   added to margins[r] for every r in `rows` that the
+  ///                   partition sends there. That is the leaf a traversal
+  ///                   of the returned tree reaches on row r's raw values
+  ///                   (DESIGN.md §9), so rows in `rows` need no
+  ///                   re-prediction.
   /// Leaf values already include the learning rate.
   RegressionTree Train(const std::vector<double>& grad,
                        const std::vector<double>& hess,
                        const std::vector<size_t>& rows,
-                       const std::vector<int>& features) const;
+                       const std::vector<int>& features,
+                       std::vector<double>* margins) const;
 
  private:
   struct SplitCandidate {

@@ -62,7 +62,8 @@ std::string RegressionTree::Serialize() const {
   return out.str();
 }
 
-Result<RegressionTree> RegressionTree::Deserialize(const std::string& text) {
+Result<RegressionTree> RegressionTree::Deserialize(const std::string& text,
+                                                   size_t num_features) {
   std::istringstream in(text);
   std::string tag;
   size_t count = 0;
@@ -70,9 +71,11 @@ Result<RegressionTree> RegressionTree::Deserialize(const std::string& text) {
   if (!in || tag != "tree") {
     return Status::InvalidArgument("tree deserialize: bad header");
   }
-  std::vector<TreeNode> nodes(count);
+  // Grown node by node: the count is untrusted, and a node line must be
+  // read before its slot is allocated.
+  std::vector<TreeNode> nodes;
   for (size_t i = 0; i < count; ++i) {
-    TreeNode& n = nodes[i];
+    TreeNode n;
     int default_left = 1;
     // Doubles parse token-wise through ParseDouble: thresholds can be
     // "inf" (the missing-vs-present split), which istream >> rejects.
@@ -96,6 +99,42 @@ Result<RegressionTree> RegressionTree::Deserialize(const std::string& text) {
     n.value = *value;
     n.gain = *gain;
     n.default_left = default_left != 0;
+    nodes.push_back(n);
+  }
+  // Children point forward, so every traversal ends; one parent per node
+  // keeps the node graph a tree (a shared child would let ExtractPaths
+  // enumerate exponentially many paths).
+  std::vector<char> has_parent(nodes.size(), 0);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const TreeNode& n = nodes[i];
+    auto invalid = [&](const std::string& what) {
+      return Status::InvalidArgument("tree deserialize: " + what +
+                                     " at node " + std::to_string(i));
+    };
+    if (n.is_leaf()) {
+      if (n.left != -1 || n.right != -1) {
+        return invalid("leaf children must be -1");
+      }
+      continue;
+    }
+    if (n.feature < 0 || static_cast<size_t>(n.feature) >= num_features) {
+      return invalid("split feature " + std::to_string(n.feature) +
+                     " outside [0, " + std::to_string(num_features) + ")");
+    }
+    for (const int child : {n.left, n.right}) {
+      if (child <= static_cast<int>(i) ||
+          static_cast<size_t>(child) >= nodes.size() ||
+          has_parent[static_cast<size_t>(child)]) {
+        return invalid("bad child " + std::to_string(child));
+      }
+      has_parent[static_cast<size_t>(child)] = 1;
+    }
+  }
+  for (size_t i = 1; i < nodes.size(); ++i) {
+    if (!has_parent[i]) {
+      return Status::InvalidArgument("tree deserialize: node " +
+                                     std::to_string(i) + " has no parent");
+    }
   }
   return RegressionTree(std::move(nodes));
 }

@@ -64,8 +64,13 @@ class RegressionTree {
   /// Serializes to a line-oriented text block (one node per line).
   std::string Serialize() const;
 
-  /// Parses a block produced by Serialize.
-  [[nodiscard]] static Result<RegressionTree> Deserialize(const std::string& text);
+  /// Parses a block produced by Serialize for rows of `num_features`
+  /// values. Rejects any tree a traversal could loop in or read past a
+  /// row through: every node but the root is the child of exactly one
+  /// node with a smaller index, leaves have both children at -1, and
+  /// split features lie in [0, num_features).
+  [[nodiscard]] static Result<RegressionTree> Deserialize(
+      const std::string& text, size_t num_features);
 
  private:
   std::vector<TreeNode> nodes_;

@@ -13,6 +13,7 @@
 
 #include "src/common/random.h"
 #include "src/dataframe/spill.h"
+#include "tests/property_util.h"
 
 namespace safe {
 namespace {
@@ -178,35 +179,6 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-/// A column drawn from the special values, heavy ties and ordinary draws.
-std::vector<double> AdversarialColumn(size_t rows, uint64_t seed) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::vector<double> specials = {
-      kInf, -kInf, DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN,
-      std::numeric_limits<double>::denorm_min(),
-      -std::numeric_limits<double>::denorm_min(),
-      FromBits(0x000fffffffffffffULL),  // largest subnormal
-      -0.0, 0.0, 1.0, -1.0,
-      FromBits(0x7ff8000000000000ULL),  // quiet NaN
-      FromBits(0xfff8000000000000ULL),  // negative quiet NaN
-      FromBits(0x7ff0000000000001ULL),  // signaling NaN
-      FromBits(0x7ff8dead0000beefULL),  // NaN payload
-  };
-  Rng rng(seed);
-  std::vector<double> values(rows);
-  for (double& v : values) {
-    const uint64_t pick = rng.NextUint64Below(4);
-    if (pick == 0) {
-      v = specials[rng.NextUint64Below(specials.size())];
-    } else if (pick == 1) {
-      v = 2.5;  // heavy tie
-    } else {
-      v = rng.NextGaussian();
-    }
-  }
-  return values;
-}
-
 std::shared_ptr<SpillPool> SubGroupPool() {
   SpillPool::Options options;
   options.resident_budget_bytes = kGroupRows * sizeof(double) / 2;
@@ -238,7 +210,7 @@ TEST(BinningValueDomainTest, CutsMatchKeyOrderedReference) {
   auto pool = SubGroupPool();
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     const std::vector<double> values =
-        AdversarialColumn(3 * kGroupRows + 123, seed);
+        testutil::AdversarialColumn(3 * kGroupRows + 123, seed);
     for (size_t num_bins : {2u, 3u, 10u, 16u, 255u, 256u}) {
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    " num_bins=" + std::to_string(num_bins));
@@ -253,7 +225,8 @@ TEST(BinningValueDomainTest, CutsMatchKeyOrderedReference) {
 
 TEST(BinningValueDomainTest, CutsIgnoreInputOrder) {
   auto pool = SubGroupPool();
-  std::vector<double> values = AdversarialColumn(2 * kGroupRows + 7, 11);
+  std::vector<double> values =
+      testutil::AdversarialColumn(2 * kGroupRows + 7, 11);
   const std::vector<double> expected = ReferenceEdges(values, 64);
   Rng rng(12);
   for (int round = 0; round < 4; ++round) {

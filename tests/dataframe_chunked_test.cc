@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "src/common/random.h"
@@ -228,7 +229,7 @@ TEST(ChunkedFrameTest, FrameWindowPinsMixedStorage) {
   // Windows at sub-group granularity (2048 divides 4096).
   for (size_t lo = 0; lo < 9000; lo += 2048) {
     const size_t hi = std::min<size_t>(9000, lo + 2048);
-    FrameWindow window(frame, lo, hi);
+    FrameWindow window(frame, {0, 1}, lo, hi);
     for (size_t r = lo; r < hi; r += 101) {
       for (size_t c = 0; c < 2; ++c) {
         const double expect = frame.at(r, c);
@@ -236,6 +237,46 @@ TEST(ChunkedFrameTest, FrameWindowPinsMixedStorage) {
         EXPECT_EQ(std::memcmp(&expect, &got, sizeof(double)), 0)
             << "row " << r << " col " << c;
       }
+    }
+  }
+}
+
+TEST(ChunkedFrameTest, ColumnSubsetWindowFaultsOnlyItsColumns) {
+  // 32 one-group columns under a one-group budget: every group but the
+  // last one sealed sits in the spill file.
+  auto pool = MakePool(4096 * sizeof(double));
+  DataFrame frame;
+  for (size_t c = 0; c < 32; ++c) {
+    Column column = Column("c" + std::to_string(c), AdversarialValues(4096, c))
+                        .AsChunked(pool, 4096);
+    ASSERT_TRUE(frame.AddColumn(column).ok());
+  }
+  const std::vector<size_t> columns = {5, 17};
+  std::vector<double> subset_values;
+  const SpillPoolStats before = pool->stats();
+  {
+    FrameWindow window(frame, columns, 2048, 4096);
+    EXPECT_EQ(pool->stats().faults - before.faults, 2u);
+    for (size_t c : columns) {
+      for (size_t r = 2048; r < 4096; ++r) {
+        subset_values.push_back(window.at(r, c));
+      }
+    }
+#ifndef NDEBUG
+    EXPECT_DEATH(window.at(2048, 6), "not pinned");
+#endif
+  }
+  EXPECT_EQ(pool->stats().faults - before.faults, 2u);
+
+  std::vector<size_t> all_columns(32);
+  std::iota(all_columns.begin(), all_columns.end(), size_t{0});
+  FrameWindow full(frame, all_columns, 2048, 4096);
+  size_t i = 0;
+  for (size_t c : columns) {
+    for (size_t r = 2048; r < 4096; ++r, ++i) {
+      const double expect = full.at(r, c);
+      ASSERT_EQ(std::memcmp(&expect, &subset_values[i], sizeof(double)), 0)
+          << "row " << r << " col " << c;
     }
   }
 }

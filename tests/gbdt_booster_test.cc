@@ -236,6 +236,41 @@ TEST(BoosterTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(Booster::Deserialize("booster v1\nobjective logistic\n").ok());
 }
 
+TEST(BoosterTest, DeserializeRejectsMalformedModels) {
+  const std::string header =
+      "booster v1\nobjective logistic\nnum_features 2\nbase_score 0\n"
+      "num_trees 1\n";
+  const std::string leaves = "-1 -1 -1 0 1 0 1\n-1 -1 -1 0 2 0 1\n";
+  auto good = Booster::Deserialize(header + "tree 3\n1 2 1 0.5 0 1 1\n" +
+                                   leaves);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->PredictRowMargin({0.0, 0.5}), 1.0);
+  EXPECT_EQ(good->PredictRowMargin({0.0, 0.6}), 2.0);
+
+  // A node that is its own child: PredictRowMargin would never return.
+  EXPECT_FALSE(Booster::Deserialize(header + "tree 1\n0 0 0 0.5 0 1 1\n").ok());
+  // A child past the node count.
+  EXPECT_FALSE(
+      Booster::Deserialize(header + "tree 3\n1 9 1 0.5 0 1 1\n" + leaves)
+          .ok());
+  // Split feature 2 would read past a 2-wide row.
+  EXPECT_FALSE(
+      Booster::Deserialize(header + "tree 3\n1 2 2 0.5 0 1 1\n" + leaves)
+          .ok());
+  // A forged node count fails on the missing lines, not in the allocator.
+  EXPECT_FALSE(Booster::Deserialize(header + "tree 99999999999\n").ok());
+}
+
+TEST(BoosterTest, DeserializeRejectsUnknownObjective) {
+  const std::string rest = "\nnum_features 2\nbase_score 0\nnum_trees 0\n";
+  auto squared = Booster::Deserialize("booster v1\nobjective squared" + rest);
+  ASSERT_TRUE(squared.ok());
+  EXPECT_EQ(squared->objective(), Objective::kSquared);
+  auto bogus = Booster::Deserialize("booster v1\nobjective bogus" + rest);
+  ASSERT_FALSE(bogus.ok());
+  EXPECT_EQ(bogus.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(BoosterTest, HandlesMissingValues) {
   auto spec = BaseSpec();
   spec.missing_rate = 0.15;

@@ -75,8 +75,9 @@ StumpPair TrainStumps(const DataFrame& frame, const std::vector<double>& y,
 
   TreeTrainer hist_trainer(&*matrix, &params);
   ExactTreeTrainer exact_trainer(&frame, &params);
-  return StumpPair{hist_trainer.Train(grad, hess, rows, features),
-                   exact_trainer.Train(grad, hess, rows, features)};
+  std::vector<double> margins(y.size());
+  return StumpPair{hist_trainer.Train(grad, hess, rows, features, &margins),
+                   exact_trainer.Train(grad, hess, rows, features, &margins)};
 }
 
 TEST(DifferentialTest, SameRootSplitOnPureQuantileData) {

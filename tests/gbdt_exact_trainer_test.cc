@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
+#include "src/common/random.h"
 #include "src/data/synthetic.h"
 #include "src/gbdt/booster.h"
 #include "src/stats/auc.h"
+#include "tests/property_util.h"
 
 namespace safe {
 namespace gbdt {
@@ -31,7 +34,8 @@ TEST(ExactTrainerTest, FindsExactMidpointThreshold) {
   GbdtParams params;
   params.max_depth = 1;
   ExactTreeTrainer trainer(&f, &params);
-  RegressionTree tree = trainer.Train(grad, hess, rows, {0});
+  std::vector<double> margins(10);
+  RegressionTree tree = trainer.Train(grad, hess, rows, {0}, &margins);
   ASSERT_EQ(tree.nodes().size(), 3u);
   EXPECT_DOUBLE_EQ(tree.nodes()[0].threshold, 4.5);
 }
@@ -54,7 +58,8 @@ TEST(ExactTrainerTest, HandlesMissingValues) {
   GbdtParams params;
   params.max_depth = 2;
   ExactTreeTrainer trainer(&f, &params);
-  RegressionTree tree = trainer.Train(grad, hess, rows, {0});
+  std::vector<double> margins(rows.size());
+  RegressionTree tree = trainer.Train(grad, hess, rows, {0}, &margins);
   ASSERT_GT(tree.nodes().size(), 1u);
   // Prediction for a missing row differs from a typical present row.
   const double miss_pred = tree.PredictRow({std::nan("")});
@@ -71,8 +76,52 @@ TEST(ExactTrainerTest, PureGradientNodeStaysLeaf) {
   std::vector<double> hess(4, 0.25);
   GbdtParams params;
   ExactTreeTrainer trainer(&f, &params);
-  RegressionTree tree = trainer.Train(grad, hess, {0, 1, 2, 3}, {0});
+  std::vector<double> margins(4);
+  RegressionTree tree = trainer.Train(grad, hess, {0, 1, 2, 3}, {0}, &margins);
   EXPECT_EQ(tree.nodes().size(), 1u);
+}
+
+TEST(ExactTrainerTest, LeafMarginsEqualTraversalOnAdversarialColumns) {
+  const size_t n = 3000;
+  const DataFrame frame = testutil::SplitStressFrame(n, 5);
+  Rng rng(19);
+  std::vector<double> grad(n);
+  std::vector<double> hess(n);
+  for (size_t r = 0; r < n; ++r) {
+    grad[r] = rng.NextGaussian();
+    hess[r] = 0.1 + rng.NextDouble();
+  }
+  // Every fifth row stays out of the tree; its margin must not move.
+  std::vector<size_t> rows;
+  for (size_t r = 0; r < n; ++r) {
+    if (r % 5 != 0) rows.push_back(r);
+  }
+  GbdtParams params;
+  params.max_depth = 6;
+  ExactTreeTrainer trainer(&frame, &params);
+  // All columns, then each splittable one alone, so every column's cuts
+  // get used (exact cuts lie between distinct values, so the constant
+  // column 3 never splits on its own).
+  for (const std::vector<int>& features :
+       {std::vector<int>{0, 1, 2, 3}, {0}, {1}, {2}}) {
+    SCOPED_TRACE("features[0]=" + std::to_string(features[0]) + "/" +
+                 std::to_string(features.size()));
+    std::vector<double> margins(n, 0.0);
+    const RegressionTree tree =
+        trainer.Train(grad, hess, rows, features, &margins);
+    ASSERT_GT(tree.nodes().size(), 1u);
+    size_t next = 0;  // position in `rows`
+    for (size_t r = 0; r < n; ++r) {
+      double expect = 0.0;
+      if (next < rows.size() && rows[next] == r) {
+        expect += tree.PredictRow(frame.Row(r));
+        ++next;
+      }
+      ASSERT_EQ(std::bit_cast<uint64_t>(margins[r]),
+                std::bit_cast<uint64_t>(expect))
+          << "row " << r;
+    }
+  }
 }
 
 TEST(ExactBoosterTest, ExactMethodLearns) {

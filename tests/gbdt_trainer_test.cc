@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "src/common/random.h"
+#include "src/dataframe/spill.h"
 #include "src/gbdt/quantizer.h"
+#include "tests/property_util.h"
 
 namespace safe {
 namespace gbdt {
@@ -21,6 +25,7 @@ struct TrainerFixture {
   std::vector<double> hess;
   std::vector<size_t> rows;
   std::vector<int> features;
+  std::vector<double> margins;
 
   /// Builds gradients as if fitting residuals of y with constant 0.5
   /// predictions: grad = 0.5 - y, hess = 0.25 (logistic at margin 0).
@@ -39,6 +44,7 @@ struct TrainerFixture {
       fx.hess.push_back(0.25);
       fx.rows.push_back(i);
     }
+    fx.margins.assign(y.size(), 0.0);
     for (size_t f = 0; f < fx.frame.num_columns(); ++f) {
       fx.features.push_back(static_cast<int>(f));
     }
@@ -64,7 +70,7 @@ TEST(TrainerTest, FindsTheStepBoundary) {
   params.max_depth = 1;
   TreeTrainer trainer(&fx.matrix, &params);
   RegressionTree tree =
-      trainer.Train(fx.grad, fx.hess, fx.rows, fx.features);
+      trainer.Train(fx.grad, fx.hess, fx.rows, fx.features, &fx.margins);
   ASSERT_EQ(tree.nodes().size(), 3u);
   EXPECT_EQ(tree.nodes()[0].feature, 0);
   EXPECT_NEAR(tree.nodes()[0].threshold, 99.5, 7.0);  // bin granularity
@@ -81,7 +87,7 @@ TEST(TrainerTest, MinChildWeightBlocksTinyChildren) {
   params.min_child_weight = 6.0;  // each child needs >= 24 rows
   TreeTrainer trainer(&fx.matrix, &params);
   RegressionTree tree =
-      trainer.Train(fx.grad, fx.hess, fx.rows, fx.features);
+      trainer.Train(fx.grad, fx.hess, fx.rows, fx.features, &fx.margins);
   // Splitting 40 rows into two children of >= 24 rows is impossible.
   EXPECT_EQ(tree.nodes().size(), 1u);
 }
@@ -103,7 +109,7 @@ TEST(TrainerTest, MinSplitGainPrunes) {
   params.min_split_gain = 5.0;
   TreeTrainer trainer(&fx.matrix, &params);
   RegressionTree tree =
-      trainer.Train(fx.grad, fx.hess, fx.rows, fx.features);
+      trainer.Train(fx.grad, fx.hess, fx.rows, fx.features, &fx.margins);
   EXPECT_EQ(tree.nodes().size(), 1u);
 }
 
@@ -113,7 +119,7 @@ TEST(TrainerTest, DepthLimitRespected) {
   params.max_depth = 2;
   TreeTrainer trainer(&fx.matrix, &params);
   RegressionTree tree =
-      trainer.Train(fx.grad, fx.hess, fx.rows, fx.features);
+      trainer.Train(fx.grad, fx.hess, fx.rows, fx.features, &fx.margins);
   // Depth-2 tree has at most 7 nodes.
   EXPECT_LE(tree.nodes().size(), 7u);
   for (const auto& path : tree.ExtractPaths()) {
@@ -143,7 +149,7 @@ TEST(TrainerTest, MissingRowsRoutedToBetterSide) {
   params.max_depth = 2;
   TreeTrainer trainer(&fx.matrix, &params);
   RegressionTree tree =
-      trainer.Train(fx.grad, fx.hess, fx.rows, fx.features);
+      trainer.Train(fx.grad, fx.hess, fx.rows, fx.features, &fx.margins);
   ASSERT_GT(tree.nodes().size(), 1u);
   // Prediction must separate the classes using the missing channel.
   const double nan_pred = tree.PredictRow({std::nan(""), 0.0});
@@ -177,14 +183,15 @@ TEST(TrainerTest, MissingRoutingIdenticalAcrossThreadCounts) {
 
   TreeTrainer serial_trainer(&fx.matrix, &params, nullptr);
   RegressionTree serial_tree =
-      serial_trainer.Train(fx.grad, fx.hess, fx.rows, fx.features);
+      serial_trainer.Train(fx.grad, fx.hess, fx.rows, fx.features, &fx.margins);
   ASSERT_GT(serial_tree.nodes().size(), 1u);
 
   for (size_t n_threads : {2u, 8u}) {
     ThreadPool pool(n_threads);
     TreeTrainer parallel_trainer(&fx.matrix, &params, &pool);
     RegressionTree parallel_tree =
-        parallel_trainer.Train(fx.grad, fx.hess, fx.rows, fx.features);
+        parallel_trainer.Train(fx.grad, fx.hess, fx.rows, fx.features,
+                               &fx.margins);
     EXPECT_EQ(serial_tree.Serialize(), parallel_tree.Serialize())
         << n_threads << " threads";
     // Probe NaN routing directly on every node's default direction.
@@ -204,11 +211,12 @@ TEST(TrainerTest, ParallelTrainingMatchesSerialOnLargeRowSets) {
   params.max_depth = 5;
   TreeTrainer serial_trainer(&fx.matrix, &params, nullptr);
   RegressionTree serial_tree =
-      serial_trainer.Train(fx.grad, fx.hess, fx.rows, fx.features);
+      serial_trainer.Train(fx.grad, fx.hess, fx.rows, fx.features, &fx.margins);
   ThreadPool pool(4);
   TreeTrainer parallel_trainer(&fx.matrix, &params, &pool);
   RegressionTree parallel_tree =
-      parallel_trainer.Train(fx.grad, fx.hess, fx.rows, fx.features);
+      parallel_trainer.Train(fx.grad, fx.hess, fx.rows, fx.features,
+                             &fx.margins);
   EXPECT_EQ(serial_tree.Serialize(), parallel_tree.Serialize());
 }
 
@@ -221,7 +229,7 @@ TEST(TrainerTest, SubsetOfRowsOnlyUsesThoseRows) {
   GbdtParams params;
   TreeTrainer trainer(&fx.matrix, &params);
   RegressionTree tree =
-      trainer.Train(fx.grad, fx.hess, first_half, fx.features);
+      trainer.Train(fx.grad, fx.hess, first_half, fx.features, &fx.margins);
   EXPECT_EQ(tree.nodes().size(), 1u);
   EXPECT_LT(tree.nodes()[0].value, 0.0);
 }
@@ -240,12 +248,85 @@ TEST(TrainerTest, FeatureSubsetRestrictsSplits) {
   GbdtParams params;
   TreeTrainer trainer(&fx2.matrix, &params);
   RegressionTree tree =
-      trainer.Train(fx2.grad, fx2.hess, fx2.rows, {1});
+      trainer.Train(fx2.grad, fx2.hess, fx2.rows, {1}, &fx2.margins);
   for (const auto& node : tree.nodes()) {
     if (!node.is_leaf()) {
       EXPECT_EQ(node.feature, 1);
     }
   }
+}
+
+TEST(TrainerTest, LeafMarginsEqualTraversalOnAdversarialColumns) {
+  // More rows than the 4096-row partition grain and row-group size, so
+  // partitions and quantized columns span several chunks and groups.
+  const size_t n = 10000;
+  const DataFrame dense = testutil::SplitStressFrame(n, 3);
+  std::vector<std::vector<double>> row_values(n);
+  for (size_t r = 0; r < n; ++r) row_values[r] = dense.Row(r);
+  SpillPool::Options options;
+  options.resident_budget_bytes = 4096 * sizeof(double);  // spills
+  auto spill = SpillPool::Create(options);
+  ASSERT_TRUE(spill.ok());
+  const DataFrame chunked = ToChunkedFrame(dense, *spill, 4096);
+
+  Rng rng(17);
+  std::vector<double> grad(n);
+  std::vector<double> hess(n);
+  for (size_t r = 0; r < n; ++r) {
+    grad[r] = rng.NextGaussian();
+    hess[r] = 0.1 + rng.NextDouble();
+  }
+  // Every fifth row stays out of the tree; its margin must not move.
+  std::vector<size_t> rows;
+  for (size_t r = 0; r < n; ++r) {
+    if (r % 5 != 0) rows.push_back(r);
+  }
+  GbdtParams params;
+  params.max_depth = 6;
+  params.max_bins = 32;
+  ThreadPool pool(4);
+  bool saw_inf_threshold = false;
+  bool saw_zero_threshold = false;
+  for (const DataFrame* frame : {&dense, &chunked}) {
+    auto quantizer = FeatureQuantizer::Fit(*frame, params.max_bins);
+    ASSERT_TRUE(quantizer.ok());
+    auto matrix = quantizer->Transform(*frame);
+    ASSERT_TRUE(matrix.ok());
+    for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      TreeTrainer trainer(&*matrix, &params, threads);
+      // All columns, then each alone, so every column's cuts get used.
+      for (const std::vector<int>& features :
+           {std::vector<int>{0, 1, 2, 3}, {0}, {1}, {2}, {3}}) {
+        SCOPED_TRACE(std::string(frame == &dense ? "dense" : "chunked") +
+                     (threads ? " 4 threads" : " serial") + " features[0]=" +
+                     std::to_string(features[0]) + "/" +
+                     std::to_string(features.size()));
+        std::vector<double> margins(n, 0.0);
+        const RegressionTree tree =
+            trainer.Train(grad, hess, rows, features, &margins);
+        ASSERT_GT(tree.nodes().size(), 1u);
+        size_t next = 0;  // position in `rows`
+        for (size_t r = 0; r < n; ++r) {
+          double expect = 0.0;
+          if (next < rows.size() && rows[next] == r) {
+            expect += tree.PredictRow(row_values[r]);
+            ++next;
+          }
+          ASSERT_EQ(std::bit_cast<uint64_t>(margins[r]),
+                    std::bit_cast<uint64_t>(expect))
+              << "row " << r;
+        }
+        for (const TreeNode& node : tree.nodes()) {
+          if (node.is_leaf()) continue;
+          saw_inf_threshold |=
+              node.threshold == std::numeric_limits<double>::infinity();
+          saw_zero_threshold |= node.threshold == 0.0;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_inf_threshold) << "no missing-vs-present split grown";
+  EXPECT_TRUE(saw_zero_threshold) << "no split at a signed-zero cut";
 }
 
 }  // namespace

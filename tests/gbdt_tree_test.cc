@@ -86,7 +86,7 @@ TEST(TreeTest, ExtractPathsEnumeratesRootToLeaf) {
 TEST(TreeTest, SerializeRoundTrips) {
   RegressionTree tree = MakeTree();
   std::string text = tree.Serialize();
-  auto back = RegressionTree::Deserialize(text);
+  auto back = RegressionTree::Deserialize(text, 2);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ASSERT_EQ(back->nodes().size(), tree.nodes().size());
   for (size_t i = 0; i < tree.nodes().size(); ++i) {
@@ -110,8 +110,61 @@ TEST(TreeTest, SerializeRoundTrips) {
 }
 
 TEST(TreeTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(RegressionTree::Deserialize("nonsense").ok());
-  EXPECT_FALSE(RegressionTree::Deserialize("tree 2\n0 0 0 0 0 0 1\n").ok());
+  EXPECT_FALSE(RegressionTree::Deserialize("nonsense", 2).ok());
+  EXPECT_FALSE(
+      RegressionTree::Deserialize("tree 2\n0 0 0 0 0 0 1\n", 2).ok());
+}
+
+TEST(TreeTest, DeserializeRejectsTreesTraversalCannotWalk) {
+  const std::string leaves = "-1 -1 -1 0 1 0 1\n-1 -1 -1 0 2 0 1\n";
+  // The well-formed shape every case below breaks.
+  auto good = RegressionTree::Deserialize("tree 3\n1 2 1 0.5 0 1 1\n" + leaves,
+                                          2);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->PredictRow({0.0, 0.5}), 1.0);
+  EXPECT_EQ(good->PredictRow({0.0, 0.6}), 2.0);
+
+  const std::string bad[] = {
+      // A node that is its own child: PredictRow would never stop.
+      "tree 1\n0 0 0 0.5 0 1 1\n",
+      // A child past the node count.
+      "tree 3\n1 3 0 0.5 0 1 1\n" + leaves,
+      // A child before its parent (1 -> 0 closes a cycle).
+      "tree 3\n1 2 0 0.5 0 1 1\n0 2 0 0.5 0 1 1\n-1 -1 -1 0 2 0 1\n",
+      // A child shared by two parents.
+      "tree 4\n1 2 0 0.5 0 1 1\n2 3 0 0.5 0 1 1\n" + leaves,
+      // Leaves with a child, or a negative child other than -1.
+      "tree 1\n-1 0 -1 0 1 0 1\n",
+      "tree 1\n-2 -1 -1 0 1 0 1\n",
+      // Nodes no split reaches.
+      "tree 3\n-1 -1 -1 0 1 0 1\n" + leaves,
+  };
+  for (const std::string& text : bad) {
+    EXPECT_FALSE(RegressionTree::Deserialize(text, 2).ok()) << text;
+  }
+}
+
+TEST(TreeTest, DeserializeRejectsSplitFeaturesOutsideTheRow) {
+  const std::string leaves = "-1 -1 -1 0 1 0 1\n-1 -1 -1 0 2 0 1\n";
+  EXPECT_TRUE(
+      RegressionTree::Deserialize("tree 3\n1 2 1 0.5 0 1 1\n" + leaves, 2)
+          .ok());
+  // Feature 2 of a 2-wide row would read past it.
+  EXPECT_FALSE(
+      RegressionTree::Deserialize("tree 3\n1 2 2 0.5 0 1 1\n" + leaves, 2)
+          .ok());
+  EXPECT_FALSE(
+      RegressionTree::Deserialize("tree 3\n1 2 -1 0.5 0 1 1\n" + leaves, 2)
+          .ok());
+}
+
+TEST(TreeTest, DeserializeDoesNotTrustTheNodeCount) {
+  // Fails on the missing node lines instead of allocating 10^11 nodes.
+  EXPECT_FALSE(RegressionTree::Deserialize("tree 99999999999\n", 2).ok());
+  // An empty tree still round-trips.
+  auto empty = RegressionTree::Deserialize(RegressionTree().Serialize(), 2);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
 }
 
 }  // namespace

@@ -82,6 +82,36 @@ TEST(GoldenOutputTest, BoosterSampledWithMissing) {
   EXPECT_EQ(BoosterHash(train, params), "7aa6c3d2e6f96d7e");
 }
 
+TEST(GoldenOutputTest, BoosterExactSampledWithMissing) {
+  const Dataset train = MakeTable(2000, 8, 0.1, 505);
+  gbdt::GbdtParams params;
+  params.tree_method = gbdt::TreeMethod::kExact;
+  params.num_trees = 30;
+  params.subsample = 0.8;
+  EXPECT_EQ(BoosterHash(train, params), "55a101d2e2ed6015");
+}
+
+TEST(GoldenOutputTest, BoosterEarlyStoppingOnValidation) {
+  data::SyntheticSpec spec;
+  spec.num_features = 8;
+  spec.num_informative = 4;
+  spec.num_interactions = 3;
+  spec.missing_rate = 0.05;
+  spec.seed = 606;
+  auto split = data::MakeSyntheticSplit(spec, 2000, 600, 10);
+  SAFE_CHECK(split.ok()) << split.status().ToString();
+  gbdt::GbdtParams params;
+  params.num_trees = 300;
+  params.learning_rate = 0.5;
+  params.early_stopping_rounds = 5;
+  auto model = gbdt::Booster::Fit(split->train, &split->valid, params);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  // Early stopping must have cut the ensemble, or this case would not
+  // cover the validation margins.
+  EXPECT_LT(model->trees().size(), params.num_trees);
+  EXPECT_EQ(Fnv1aHex(model->Serialize()), "ce5f5281b9f63ff2");
+}
+
 TEST(GoldenOutputTest, EnginePlanDefaultOperators) {
   const Dataset train = MakeTable(2000, 8, 0.0, 303);
   EXPECT_EQ(Fnv1aHex(PlanText(train, SafeParams{})), "f7783b1921290bf2");

@@ -5,6 +5,8 @@
 // and degenerate columns are all drawn deterministically from the seed,
 // so every failure reproduces from the seed alone.
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -57,6 +59,64 @@ inline void AppendMostlyMissingColumn(Dataset* data, const std::string& name,
     values[r] = rng.NextDouble() * 4.0 - 2.0;
   }
   SAFE_CHECK(data->x.AddColumn(Column(name, std::move(values))).ok());
+}
+
+/// A column drawn from IEEE special values (±inf, ±DBL_MAX, normal and
+/// subnormal extremes of both signs, signed zeros, NaNs with payloads),
+/// heavy ties and ordinary draws.
+inline std::vector<double> AdversarialColumn(size_t rows, uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> specials = {
+      kInf, -kInf, DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::bit_cast<double>(0x000fffffffffffffULL),  // largest subnormal
+      -0.0, 0.0, 1.0, -1.0,
+      std::bit_cast<double>(0x7ff8000000000000ULL),  // quiet NaN
+      std::bit_cast<double>(0xfff8000000000000ULL),  // negative quiet NaN
+      std::bit_cast<double>(0x7ff0000000000001ULL),  // signaling NaN
+      std::bit_cast<double>(0x7ff8dead0000beefULL),  // NaN payload
+  };
+  Rng rng(seed);
+  std::vector<double> values(rows);
+  for (double& v : values) {
+    const uint64_t pick = rng.NextUint64Below(4);
+    if (pick == 0) {
+      v = specials[rng.NextUint64Below(specials.size())];
+    } else if (pick == 1) {
+      v = 2.5;  // heavy tie
+    } else {
+      v = rng.NextGaussian();
+    }
+  }
+  return values;
+}
+
+/// A frame for checking a tree trainer's row partition against traversal
+/// of the tree it grows: two AdversarialColumns, signed zeros around a ±0
+/// cut, and a constant column with NaN payloads whose only split is
+/// missing-vs-present at threshold +inf.
+inline DataFrame SplitStressFrame(size_t rows, uint64_t seed) {
+  const double kZeros[] = {-0.0, 0.0, -0.0, 0.0, -1.0, 1.0};
+  const double kNanPayload = std::bit_cast<double>(0x7ff8dead0000beefULL);
+  Rng rng(seed);
+  std::vector<double> zeros(rows);
+  std::vector<double> constant(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    zeros[r] = kZeros[rng.NextUint64Below(6)];
+    constant[r] = rng.NextBernoulli(0.3) ? kNanPayload : 7.0;
+  }
+  DataFrame frame;
+  SAFE_CHECK(frame.AddColumn(Column("adversarial_a",
+                                    AdversarialColumn(rows, seed + 1)))
+                 .ok());
+  SAFE_CHECK(frame.AddColumn(Column("adversarial_b",
+                                    AdversarialColumn(rows, seed + 2)))
+                 .ok());
+  SAFE_CHECK(frame.AddColumn(Column("signed_zeros", std::move(zeros))).ok());
+  SAFE_CHECK(
+      frame.AddColumn(Column("constant_nan", std::move(constant))).ok());
+  return frame;
 }
 
 }  // namespace testutil

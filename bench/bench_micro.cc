@@ -11,6 +11,7 @@
 #include "src/data/synthetic.h"
 #include "src/dataframe/binning.h"
 #include "src/gbdt/booster.h"
+#include "src/gbdt/forest_layout.h"
 #include "src/stats/auc.h"
 #include "src/stats/correlation.h"
 #include "src/stats/entropy.h"
@@ -158,6 +159,74 @@ void BM_GbdtPredict(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 5000);
 }
 BENCHMARK(BM_GbdtPredict);
+
+/// Serving-shaped forest: 50 depth-4 trees fitted on a 48-feature
+/// synthetic set with 2% missing cells, packed once, plus a slot-major
+/// panel of 128 of its rows (feature f of lane i at panel[f * 128 + i]).
+struct ForestFixture {
+  static constexpr size_t kLanes = 128;
+  gbdt::PackedForest forest;
+  std::vector<double> panel;
+};
+
+const ForestFixture& ServingForest() {
+  static const ForestFixture fixture = [] {
+    data::SyntheticSpec spec;
+    spec.num_rows = 4096;
+    spec.num_features = 48;
+    spec.num_informative = 16;
+    spec.num_interactions = 3;
+    spec.missing_rate = 0.02;
+    spec.seed = 17;
+    auto data = data::MakeSyntheticDataset(spec);
+    SAFE_CHECK(data.ok());
+    gbdt::GbdtParams params;
+    params.num_trees = 50;
+    params.max_depth = 4;
+    auto model = gbdt::Booster::Fit(*data, nullptr, params);
+    SAFE_CHECK(model.ok());
+    auto forest =
+        gbdt::PackedForest::Build(model->trees(), model->num_features());
+    SAFE_CHECK(forest.ok());
+    ForestFixture out;
+    out.forest = *std::move(forest);
+    out.panel.resize(spec.num_features * ForestFixture::kLanes);
+    for (size_t lane = 0; lane < ForestFixture::kLanes; ++lane) {
+      const std::vector<double> row = data->x.Row(lane);
+      for (size_t f = 0; f < row.size(); ++f) {
+        out.panel[f * ForestFixture::kLanes + lane] = row[f];
+      }
+    }
+    return out;
+  }();
+  return fixture;
+}
+
+// PackedForest::AccumulateMargins at the lane counts serving runs: one
+// row (RowScorer, and the scoring server's single-request blocks), a
+// few, and a full block. Each iteration scores the panel's 128 rows in
+// slices of `lanes` (126 rows at 3), so rows/s compare across widths;
+// n == 1 takes the stepped walk, wider slices the bitvector scan.
+void BM_ForestMargins(benchmark::State& state) {
+  const size_t lanes = static_cast<size_t>(state.range(0));
+  const ForestFixture& fixture = ServingForest();
+  constexpr size_t kLanes = ForestFixture::kLanes;
+  std::vector<double> margins(kLanes, 0.0);
+  size_t rows = 0;
+  for (auto _ : state) {
+    rows = 0;
+    for (size_t base = 0; base + lanes <= kLanes; base += lanes) {
+      fixture.forest.AccumulateMargins(fixture.panel.data() + base, kLanes,
+                                       lanes, margins.data() + base);
+      rows += lanes;
+    }
+    benchmark::DoNotOptimize(margins.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_ForestMargins)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(128);
 
 void BM_MineAndRankCombinations(benchmark::State& state) {
   Dataset data = MicroDataset(4000, 12);

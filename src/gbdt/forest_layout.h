@@ -9,50 +9,51 @@
 namespace safe {
 namespace gbdt {
 
-/// \brief QuickScorer-style interleaved forest layout for batch scoring.
+/// \brief The serving forest: one packed copy of a booster's trees that
+/// scores a single row and a block of rows through one entry point,
+/// AccumulateMargins, picking the traversal by the number of rows.
 ///
-/// Per-row tree traversal (FlatNode pointer-chasing) costs one dependent
-/// load + an unpredictable branch per level per tree. PackedForest
-/// restructures each tree once, at build time, into the bitvector form of
-/// Lucchese et al.'s QuickScorer: leaves are numbered left-to-right
-/// (in-order), every internal node carries a 64-bit mask whose bits clear
-/// exactly the leaves of its LEFT subtree, and scoring evaluates *all*
-/// internal-node conditions of a tree branch-free — every node whose
-/// condition routes RIGHT ANDs its mask into a per-row bitvector, and the
-/// exit leaf is the lowest bit left set. The node array of one tree is
-/// small and contiguous, so scoring a block of rows tree-major keeps it
-/// resident in L1 while the rows stream through.
+/// Two layouts live side by side:
+///
+/// - Bitvector (QuickScorer, Lucchese et al.), for trees with at most
+///   kMaxBitvectorLeaves leaves: leaves are numbered left-to-right
+///   (in-order), every internal node carries a 64-bit mask whose bits
+///   clear exactly the leaves of its LEFT subtree, and scoring evaluates
+///   *all* internal-node conditions of a tree branch-free — every node
+///   whose condition routes RIGHT ANDs its mask into a per-row
+///   bitvector, and the exit leaf is the lowest bit left set.
+/// - Stepped (level-synchronous), for every tree: leaves are rewritten
+///   as self-loops (child[0] == child[1] == self), so a tree of depth d
+///   is traversed by exactly d branch-free select steps with no is-leaf
+///   test.
+///
+/// Which one runs is decided by the input size (DESIGN.md §13):
+///
+/// - n == 1 (RowScorer, and the scoring server's single-request blocks):
+///   the scalar stepped walk over every tree, eight trees in lock step.
+///   The bitvector scan pays for every condition of a tree, which a
+///   block amortizes and a single row does not; one tree walked at a
+///   time is a single chain of dependent loads. Both measured slower
+///   than the lock-step walk on every workload tried (DESIGN.md §13).
+/// - n >= 2: bitvector trees run node-outer / lane-inner — one condition
+///   is evaluated for a whole chunk of lanes (a contiguous panel span)
+///   before moving to the next node, so the hot loop has no
+///   data-dependent branches and no dependent loads and auto-vectorizes.
+///   Deeper trees run the stepped walk with the lanes advancing
+///   together.
 ///
 /// The traversal semantics are exactly RegressionTree::PredictRow's:
 /// `value <= threshold` routes left, NaN routes `default_left`, an empty
-/// tree contributes 0.0 (a single zero leaf). Trees with more than
-/// kMaxBitvectorLeaves leaves (depth > 6 when full) keep a conventional
-/// packed node array and are walked per row; gbdt_forest_layout_test
-/// proves exact margin equality against PredictRow for both forms.
-///
-/// Whole-block scoring (AccumulateMargins) runs bitvector trees
-/// node-outer / lane-inner: one condition is evaluated for a whole chunk
-/// of lanes (a contiguous panel span) before moving to the next node, so
-/// the hot loop has no data-dependent branches and no dependent loads
-/// and auto-vectorizes. The NaN default folds into the comparison
-/// direction per node, eliminating the isnan test entirely. This is
-/// ~4x faster than the per-row FlatNode walk on the serving workload;
-/// the lane-outer form of the same bitvector scan is *slower* than the
-/// scalar walk (it re-evaluates every node per lane with strided loads
-/// and a mispredicted mask branch), which is why the block path exists
-/// as a separate loop structure and not just a loop over TreeMargin.
-///
-/// For deep (fallback) trees the forest additionally keeps a
-/// level-synchronous "stepped" copy: leaves are rewritten as self-loops
-/// (child[0] == child[1] == self), so a tree of depth d is traversed by
-/// exactly d branch-free select steps per lane with no is-leaf test,
-/// and a block of lanes advances through the tree together.
+/// tree contributes 0.0 (a single zero leaf). gbdt_forest_layout_test
+/// proves exact margin equality against PredictRow for both layouts at
+/// n == 1 and in blocks.
 ///
 /// Feature indirection: Build optionally remaps split-feature indices
-/// through `feature_map` (the serving path maps booster features to
-/// column-panel slots). Scoring reads feature f of lane `lane` at
-/// `features[f * stride + lane]`, so the same code serves a plain row
-/// (stride 1, lane 0) and a slot-major block panel.
+/// through `feature_map` (the serving path maps booster features to the
+/// compiled program's slots). Scoring reads feature f of lane `lane` at
+/// `features[f * stride + lane]`, so the same code serves a plain row or
+/// the program's scratch slots (stride 1, one lane) and a slot-major
+/// block panel.
 class PackedForest {
  public:
   static constexpr size_t kMaxBitvectorLeaves = 64;
@@ -60,7 +61,10 @@ class PackedForest {
   PackedForest() = default;
 
   /// Packs `trees`. Fails when any split references a feature outside
-  /// [0, num_features) or, with a remap, outside feature_map's domain.
+  /// [0, num_features) or, with a remap, outside feature_map's domain,
+  /// and when a node's child does not come after it in the node array
+  /// (the order RegressionTree::Deserialize enforces and both trainers
+  /// emit; Build sizes every subtree in one reverse pass that needs it).
   [[nodiscard]] static Result<PackedForest> Build(
       const std::vector<RegressionTree>& trees, size_t num_features);
   [[nodiscard]] static Result<PackedForest> Build(
@@ -70,19 +74,12 @@ class PackedForest {
   size_t num_trees() const { return trees_.size(); }
   bool tree_uses_bitvector(size_t t) const { return trees_[t].bitvector; }
 
-  /// Margin contribution of tree `t` for lane `lane` of a slot-major
-  /// panel (see class comment for the addressing scheme). Exactly equal
-  /// to RegressionTree::PredictRow on the corresponding row.
-  double TreeMargin(size_t t, const double* features, size_t stride,
-                    size_t lane) const;
-
-  /// margins[i] += tree_0(i) + tree_1(i) + ... for lanes [0, n), via the
-  /// level-synchronous stepped layout. The loop runs tree-major (each
-  /// tree's step nodes stay hot across the block), but each lane still
-  /// receives its tree contributions in tree order, so the per-row
+  /// margins[i] += tree_0(i) + tree_1(i) + ... for lanes [0, n). Each
+  /// lane receives its tree contributions in tree order, so the per-row
   /// accumulation sequence — and therefore every intermediate rounding —
-  /// is identical to the scalar base + Σ tree_i loop. Requires n <=
-  /// stride.
+  /// is identical to Booster::PredictRowMargin's base + Σ tree_i loop.
+  /// n == 1 takes the scalar stepped walk, larger n the block loops
+  /// (class comment). Requires n <= stride.
   void AccumulateMargins(const double* features, size_t stride, size_t n,
                          double* margins) const;
 
@@ -93,22 +90,6 @@ class PackedForest {
     uint64_t mask = ~0ULL;  // bits of the left subtree's leaves cleared
     uint32_t feature = 0;
     uint8_t right_on_missing = 0;  // !default_left
-  };
-  /// One node of a fallback (deep) tree; mirrors TreeNode.
-  struct FallbackNode {
-    int32_t left = -1;
-    int32_t right = -1;
-    int32_t feature = -1;
-    double threshold = 0.0;
-    double value = 0.0;
-    bool default_left = true;
-    bool is_leaf() const { return left < 0; }
-  };
-  struct TreeRef {
-    uint32_t node_begin = 0;  // into nodes_ (bitvector) or fallback_
-    uint32_t node_end = 0;
-    uint32_t leaf_begin = 0;  // into leaf_values_ (bitvector trees only)
-    bool bitvector = true;
   };
   /// One node of the level-synchronous stepped layout: leaves self-loop
   /// (child[0] == child[1] == own index), so a step never needs an
@@ -122,18 +103,20 @@ class PackedForest {
     uint32_t feature = 0;
     uint8_t right_on_missing = 0;
   };
-  struct SteppedTree {
-    uint32_t node_begin = 0;  // into step_nodes_ / step_values_
+  struct TreeRef {
+    uint32_t node_begin = 0;  // into nodes_ (bitvector trees only)
+    uint32_t node_end = 0;
+    uint32_t leaf_begin = 0;  // into leaf_values_ (bitvector trees only)
+    uint32_t step_begin = 0;  // into step_nodes_ / step_values_
     uint32_t depth = 0;       // longest root->leaf hop count
+    bool bitvector = true;
   };
 
   std::vector<Node> nodes_;          // all bitvector trees, concatenated
   std::vector<double> leaf_values_;  // in-order leaf values per tree
-  std::vector<FallbackNode> fallback_;
   std::vector<TreeRef> trees_;
   std::vector<StepNode> step_nodes_;  // all trees, self-looped leaves
   std::vector<double> step_values_;   // node value (leaves carry weights)
-  std::vector<SteppedTree> stepped_;
 };
 
 }  // namespace gbdt

@@ -52,9 +52,9 @@ class RegressionTree {
   /// Prediction for one dense feature row (NaN follows default_left).
   double PredictRow(const std::vector<double>& row) const;
 
-  /// Pointer form of PredictRow for allocation-free callers (the serving
-  /// path traverses compiled scratch buffers directly). `row` must hold
-  /// at least max-split-feature + 1 values.
+  /// Pointer form of PredictRow; the vector overload forwards here. `row`
+  /// must hold at least max-split-feature + 1 values. (Serving scores
+  /// through gbdt::PackedForest, which reproduces this traversal.)
   double PredictRow(const double* row) const;
 
   /// All root→leaf paths. Paths to pure leaves of a stump (root == leaf)

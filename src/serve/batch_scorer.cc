@@ -53,7 +53,7 @@ void BatchScorer::ScoreBlockMargin(const std::vector<std::vector<double>>& rows,
   GatherBlock(rows, begin, n, plan_.num_inputs(), kBlockRows, panels);
   plan_.ExecuteBlock(panels, kBlockRows, n);
   double* margins = scratch->margins.data();
-  // Same per-row accumulation sequence as the scalar ForestMargin: base
+  // Same per-row accumulation sequence as Booster::PredictRowMargin: base
   // score first, then the trees in order (AccumulateMargins adds tree t
   // before tree t+1 for every lane).
   for (size_t i = 0; i < n; ++i) margins[i] = base_score_;

@@ -16,9 +16,9 @@ namespace serve {
 /// \brief Vectorized batch engine for the serving path (DESIGN.md
 /// "Vectorized batch execution").
 ///
-/// Where RowScorer runs program -> gather -> forest once per row,
-/// BatchScorer processes blocks of kBlockRows rows through three
-/// column-wise stages over one reusable Scratch:
+/// Where RowScorer runs the scalar program and the forest's single-row
+/// walk once per row, BatchScorer processes blocks of kBlockRows rows
+/// through three column-wise stages over one reusable Scratch:
 ///
 ///   1. transpose the block into a slot-major column panel
 ///      (block_panel.h) — every scratch slot becomes one contiguous
@@ -30,7 +30,8 @@ namespace serve {
 ///   3. gbdt::PackedForest::AccumulateMargins — QuickScorer-style
 ///      bitvector traversal, tree-major over the block, reading split
 ///      features straight out of the panel (split indices were remapped
-///      to panel slots at Create time, so there is no gather step).
+///      to panel slots at Create time, so there is no gather step). A
+///      one-row block takes the forest's single-row stepped walk.
 ///
 /// Output contract: scoring any batch is bit-identical to calling
 /// RowScorer::ScoreRow on each row — and therefore to the interpreted
@@ -66,6 +67,8 @@ class BatchScorer {
   size_t num_features() const { return plan_.num_outputs(); }
   const CompiledPlan& plan() const { return plan_; }
   const gbdt::PackedForest& forest() const { return forest_; }
+  double base_score() const { return base_score_; }
+  gbdt::Objective objective() const { return objective_; }
 
   Scratch MakeScratch() const;
 

@@ -1,6 +1,5 @@
 #include "src/serve/scorer.h"
 
-#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -58,45 +57,12 @@ constexpr uint32_t kScoreRowSampleOneInN = 64;
 Result<RowScorer> RowScorer::Create(const FeaturePlan& plan,
                                     const gbdt::Booster& booster,
                                     const OperatorRegistry& registry) {
-  RowScorer scorer;
-  // The batch engine compiles the plan (and validates the booster against
-  // it); the per-row path shares that compiled program.
+  // The batch engine compiles the plan, validates the booster against it
+  // and packs the forest; the row path shares all three.
   SAFE_ASSIGN_OR_RETURN(BatchScorer batch,
                         BatchScorer::Create(plan, booster, registry));
-  scorer.plan_ = batch.plan();
+  RowScorer scorer;
   scorer.batch_ = std::make_shared<const BatchScorer>(std::move(batch));
-  scorer.base_score_ = booster.base_score();
-  scorer.objective_ = booster.objective();
-
-  const int32_t num_features =
-      static_cast<int32_t>(scorer.plan_.num_outputs());
-  scorer.roots_.reserve(booster.trees().size());
-  for (const gbdt::RegressionTree& tree : booster.trees()) {
-    scorer.roots_.push_back(static_cast<uint32_t>(scorer.nodes_.size()));
-    if (tree.empty()) {
-      // RegressionTree::PredictRow returns 0.0 for an empty tree; a single
-      // zero leaf reproduces that contribution exactly.
-      scorer.nodes_.push_back(FlatNode{});
-      continue;
-    }
-    for (const gbdt::TreeNode& node : tree.nodes()) {
-      FlatNode flat;
-      flat.left = node.left;
-      flat.right = node.right;
-      flat.feature = node.feature;
-      flat.threshold = node.threshold;
-      flat.value = node.value;
-      flat.default_left = node.default_left;
-      if (!node.is_leaf() &&
-          (node.feature < 0 || node.feature >= num_features)) {
-        return Status::InvalidArgument(
-            "scorer: tree split on feature " + std::to_string(node.feature) +
-            " outside the plan's " + std::to_string(num_features) +
-            " outputs");
-      }
-      scorer.nodes_.push_back(flat);
-    }
-  }
   return scorer;
 }
 
@@ -108,43 +74,29 @@ Result<RowScorer> RowScorer::Create(const FeaturePlan& plan,
 
 RowScorer::Scratch RowScorer::MakeScratch() const {
   Scratch scratch;
-  scratch.slots.resize(plan_.scratch_size());
-  scratch.features.resize(plan_.num_outputs());
+  scratch.slots.resize(plan().scratch_size());
+  scratch.features.resize(plan().num_outputs());
   return scratch;
-}
-
-double RowScorer::ForestMargin(const double* features) const {
-  // Same traversal and the same accumulation order as
-  // Booster::PredictRowMargin (base score, then trees in order), so the
-  // fused margin is bit-identical to the interpreted one.
-  double margin = base_score_;
-  for (uint32_t root : roots_) {
-    const FlatNode* tree = nodes_.data() + root;
-    int32_t idx = 0;
-    while (!tree[idx].is_leaf()) {
-      const FlatNode& node = tree[idx];
-      const double v = features[node.feature];
-      if (std::isnan(v)) {
-        idx = node.default_left ? node.left : node.right;
-      } else {
-        idx = (v <= node.threshold) ? node.left : node.right;
-      }
-    }
-    margin += tree[idx].value;
-  }
-  return margin;
 }
 
 // lint: hot-path
 double RowScorer::ScoreRowMargin(const double* row, Scratch* scratch) const {
-  plan_.Execute(row, scratch->slots.data(), scratch->features.data());
-  return ForestMargin(scratch->features.data());
+  const BatchScorer& batch = *batch_;
+  batch.plan().Execute(row, scratch->slots.data(), scratch->features.data());
+  // The forest's split features were remapped to program slots, so the
+  // single-row walk reads the scratch slots directly (stride 1, one
+  // lane). Base score first, then the trees in order: the same sum as
+  // Booster::PredictRowMargin.
+  double margin = batch.base_score();
+  batch.forest().AccumulateMargins(scratch->slots.data(), 1, 1, &margin);
+  return margin;
 }
 
 // lint: hot-path
 double RowScorer::ScoreRow(const double* row, Scratch* scratch) const {
   SAFE_FR_SAMPLED_SCOPE("serve.score_row", kScoreRowSampleOneInN);
-  return gbdt::TransformMargin(objective_, ScoreRowMargin(row, scratch));
+  return gbdt::TransformMargin(batch_->objective(),
+                               ScoreRowMargin(row, scratch));
 }
 
 RowScorer::Scratch* RowScorer::LocalScratch() const {
@@ -157,8 +109,8 @@ RowScorer::Scratch* RowScorer::LocalScratch() const {
   for (auto& [key, scratch] : cache) {
     if (key == this) {
       // Guard against address reuse after another scorer's destruction.
-      if (scratch->slots.size() != plan_.scratch_size() ||
-          scratch->features.size() != plan_.num_outputs()) {
+      if (scratch->slots.size() != plan().scratch_size() ||
+          scratch->features.size() != plan().num_outputs()) {
         *scratch = MakeScratch();
       }
       return scratch.get();
@@ -170,9 +122,9 @@ RowScorer::Scratch* RowScorer::LocalScratch() const {
 
 Result<double> RowScorer::Score(const std::vector<double>& row) const {
   const uint64_t start_ns = obs::NowNanos();
-  if (row.size() != plan_.num_inputs()) {
+  if (row.size() != plan().num_inputs()) {
     return Status::InvalidArgument(
-        "scorer: expected " + std::to_string(plan_.num_inputs()) +
+        "scorer: expected " + std::to_string(plan().num_inputs()) +
         " values, got " + std::to_string(row.size()));
   }
   const double proba = ScoreRow(row.data(), LocalScratch());
@@ -183,9 +135,9 @@ Result<double> RowScorer::Score(const std::vector<double>& row) const {
 }
 
 Result<double> RowScorer::ScoreMargin(const std::vector<double>& row) const {
-  if (row.size() != plan_.num_inputs()) {
+  if (row.size() != plan().num_inputs()) {
     return Status::InvalidArgument(
-        "scorer: expected " + std::to_string(plan_.num_inputs()) +
+        "scorer: expected " + std::to_string(plan().num_inputs()) +
         " values, got " + std::to_string(row.size()));
   }
   return ScoreRowMargin(row.data(), LocalScratch());

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -14,23 +13,14 @@
 namespace safe {
 namespace serve {
 
-/// \brief One node of the flattened forest. Same fields and traversal
-/// semantics as gbdt::TreeNode, stored contiguously across all trees so
-/// scoring walks one array instead of a vector-of-trees-of-vectors.
-struct FlatNode {
-  int32_t left = -1;
-  int32_t right = -1;     // children, tree-relative
-  int32_t feature = -1;   // split column into the transformed features
-  double threshold = 0.0;
-  double value = 0.0;
-  bool default_left = true;
-
-  bool is_leaf() const { return left < 0; }
-};
-
 /// \brief Fused low-latency scorer: compiled FeaturePlan program + GBDT
 /// leaf traversal in one pass over a reusable scratch buffer
 /// (DESIGN.md "Serving path").
+///
+/// A single-row front end over a shared BatchScorer: the row runs the
+/// batch scorer's compiled program, then its PackedForest at n == 1 (the
+/// forest's stepped walk) straight over the program's scratch slots. No
+/// second copy of the plan or the trees exists.
 ///
 /// Built once from a fitted plan and booster, then immutable — safe for
 /// any number of concurrent callers. The convenience APIs (Score /
@@ -44,35 +34,39 @@ struct FlatNode {
 /// two-step path — for every row (serve_equivalence_test).
 class RowScorer {
  public:
-  /// Reusable per-caller buffers: the compiled plan's scratch slots plus
-  /// the transformed feature vector the forest traverses.
+  /// Reusable per-caller buffers: the compiled plan's scratch slots (the
+  /// forest reads its split features there) plus the transformed feature
+  /// vector CompiledPlan::Execute gathers.
   struct Scratch {
     std::vector<double> slots;
     std::vector<double> features;
   };
 
+  /// A placeholder to assign a Create result to; it holds no plan or
+  /// forest, so no accessor or scoring call may run on it.
   RowScorer() = default;
 
-  /// Compiles `plan` and flattens `booster`. Fails when the booster's
-  /// feature count differs from the plan's selected output count, or when
-  /// a tree references a feature outside that range.
+  /// Builds the shared BatchScorer (compiled plan + packed forest). Fails
+  /// like BatchScorer::Create: the booster's feature count differs from
+  /// the plan's selected output count, or a tree references a feature
+  /// outside that range.
   [[nodiscard]] static Result<RowScorer> Create(
       const FeaturePlan& plan, const gbdt::Booster& booster,
       const OperatorRegistry& registry);
   [[nodiscard]] static Result<RowScorer> Create(const FeaturePlan& plan,
                                                 const gbdt::Booster& booster);
 
-  size_t num_inputs() const { return plan_.num_inputs(); }
-  size_t num_features() const { return plan_.num_outputs(); }
-  const CompiledPlan& plan() const { return plan_; }
-  /// The vectorized batch engine ScoreBatch delegates to.
+  size_t num_inputs() const { return plan().num_inputs(); }
+  size_t num_features() const { return plan().num_outputs(); }
+  const CompiledPlan& plan() const { return batch_->plan(); }
+  /// The vectorized batch engine ScoreBatch and the row path share.
   const BatchScorer& batch() const { return *batch_; }
 
   Scratch MakeScratch() const;
 
   /// Allocation-free fused core: compiled program into scratch->slots,
-  /// gather into scratch->features, forest margin over features. `row`
-  /// must hold num_inputs() doubles.
+  /// then the forest's single-row walk over those slots. `row` must hold
+  /// num_inputs() doubles.
   double ScoreRowMargin(const double* row, Scratch* scratch) const;
   /// Margin passed through the objective's link (sigmoid for logistic).
   double ScoreRow(const double* row, Scratch* scratch) const;
@@ -96,14 +90,8 @@ class RowScorer {
                                   std::vector<double>* out) const;
 
  private:
-  double ForestMargin(const double* features) const;
   Scratch* LocalScratch() const;
 
-  CompiledPlan plan_;
-  std::vector<FlatNode> nodes_;   // all trees, concatenated
-  std::vector<uint32_t> roots_;   // offset of each tree's root in nodes_
-  double base_score_ = 0.0;
-  gbdt::Objective objective_ = gbdt::Objective::kLogistic;
   // Shared (immutable) so copies of the scorer stay cheap; never null
   // after a successful Create.
   std::shared_ptr<const BatchScorer> batch_;

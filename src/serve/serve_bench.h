@@ -42,8 +42,7 @@ struct ServerLoadStats {
   uint64_t rejected = 0;
 };
 
-/// \brief Configuration of the serving benchmark (shared by
-/// bench/bench_serving.cc and `safe_cli serve-bench`).
+/// \brief Configuration of the serving benchmark (bench/bench_serving.cc).
 struct ServeBenchOptions {
   /// Rows used to fit the SAFE plan and the GBDT.
   size_t train_rows = 2000;

@@ -1,9 +1,10 @@
 // PackedForest (src/gbdt/forest_layout.h) must reproduce
 // RegressionTree::PredictRow margins EXACTLY — same accumulation order,
 // same bits — across randomized trees of depth 1..8, missing values
-// routed in both directions, empty trees, the >64-leaf fallback layout,
-// and remapped split features, for both the per-lane TreeMargin API and
-// the whole-block AccumulateMargins traversal.
+// routed in both directions, empty trees, trees over the 64-leaf
+// bitvector limit, chains as deep as their node count, and remapped split
+// features, for both the single-row walk (AccumulateMargins at n == 1)
+// and the whole-block traversal.
 
 #include <gtest/gtest.h>
 
@@ -71,7 +72,7 @@ RegressionTree RandomTree(Rng* rng, int max_depth, int num_features) {
 }
 
 /// Full binary tree of the given depth: depth 7 has 128 leaves, which
-/// exceeds kMaxBitvectorLeaves and forces the fallback layout.
+/// exceeds kMaxBitvectorLeaves and leaves the tree to the stepped layout.
 int GrowFullNode(std::vector<TreeNode>* nodes, Rng* rng, int depth,
                  int max_depth, int num_features) {
   const int idx = static_cast<int>(nodes->size());
@@ -98,6 +99,26 @@ int GrowFullNode(std::vector<TreeNode>* nodes, Rng* rng, int depth,
 RegressionTree FullTree(Rng* rng, int depth, int num_features) {
   std::vector<TreeNode> nodes;
   GrowFullNode(&nodes, rng, 0, depth, num_features);
+  return RegressionTree(std::move(nodes));
+}
+
+/// A chain of `depth` splits (2 * depth + 1 nodes): node 2k splits on
+/// feature k % 2, its left child is a leaf and its right child the next
+/// split. Thresholds rise along the chain, so a row's exit depth follows
+/// its values. RegressionTree::Deserialize accepts the shape at any depth.
+RegressionTree ChainTree(Rng* rng, size_t depth) {
+  std::vector<TreeNode> nodes(2 * depth + 1);
+  for (size_t k = 0; k < depth; ++k) {
+    TreeNode& split = nodes[2 * k];
+    split.left = static_cast<int>(2 * k + 1);
+    split.right = static_cast<int>(2 * k + 2);
+    split.feature = static_cast<int>(k % 2);
+    split.threshold = -1.2 + 2.4 * static_cast<double>(k) /
+                                 static_cast<double>(depth);
+    split.default_left = k % 3 == 0;
+    nodes[2 * k + 1].value = rng->NextDouble() * 2.0 - 1.0;
+  }
+  nodes[2 * depth].value = rng->NextDouble() * 2.0 - 1.0;
   return RegressionTree(std::move(nodes));
 }
 
@@ -129,27 +150,60 @@ std::vector<double> ToPanel(const std::vector<std::vector<double>>& rows,
   return panel;
 }
 
+/// Margin of `forest` for the row at `features` (feature f at
+/// features[f * stride]) through the single-row walk, from `base`.
+double RowMargin(const PackedForest& forest, const double* features,
+                 size_t stride, double base) {
+  double margin = base;
+  forest.AccumulateMargins(features, stride, 1, &margin);
+  return margin;
+}
+
+/// One tree's own contribution through the single-row walk: a one-tree
+/// forest at n == 1 started from -0.0, the additive identity, so the
+/// result carries the exit leaf's exact bits.
+double TreeMargin(const RegressionTree& tree, size_t num_features,
+                  const double* features, size_t stride,
+                  const std::vector<uint32_t>* feature_map = nullptr) {
+  auto forest = PackedForest::Build({tree}, num_features, feature_map);
+  if (!forest.ok()) {
+    ADD_FAILURE() << forest.status().ToString();
+    return kNaN;
+  }
+  return RowMargin(*forest, features, stride, -0.0);
+}
+
 void CheckForestMatchesPredictRow(const std::vector<RegressionTree>& trees,
                                   size_t num_features,
                                   const std::vector<std::vector<double>>& rows) {
   auto forest = PackedForest::Build(trees, num_features);
   ASSERT_TRUE(forest.ok()) << forest.status().ToString();
   ASSERT_EQ(forest->num_trees(), trees.size());
+  const double base = 0.125;
 
-  // Per-lane API, row addressing (stride 1, lane 0).
+  // Single-row walk, row addressing (stride 1): each tree on its own,
+  // then the whole forest in the scalar accumulation order.
   for (size_t t = 0; t < trees.size(); ++t) {
+    auto single = PackedForest::Build({trees[t]}, num_features);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
     for (size_t r = 0; r < rows.size(); ++r) {
       EXPECT_TRUE(SameBits(trees[t].PredictRow(rows[r]),
-                           forest->TreeMargin(t, rows[r].data(), 1, 0)))
+                           RowMargin(*single, rows[r].data(), 1, -0.0)))
           << "tree " << t << " row " << r;
     }
+  }
+  for (size_t r = 0; r < rows.size(); ++r) {
+    double expected = base;
+    for (const RegressionTree& tree : trees) expected += tree.PredictRow(rows[r]);
+    EXPECT_TRUE(
+        SameBits(expected, RowMargin(*forest, rows[r].data(), 1, base)))
+        << "single row " << r;
   }
 
   // Whole-block traversal against the exact scalar accumulation order:
   // margins must match base + tree_0 + tree_1 + ... summed sequentially.
   const size_t stride = rows.size() + 3;  // spare lanes must be ignored
   const std::vector<double> panel = ToPanel(rows, num_features, stride);
-  const double base = 0.125;
   std::vector<double> margins(rows.size(), base);
   forest->AccumulateMargins(panel.data(), stride, rows.size(), margins.data());
   for (size_t r = 0; r < rows.size(); ++r) {
@@ -174,6 +228,23 @@ TEST(PackedForestTest, RandomTreesDepth1Through8MatchPredictRow) {
   }
 }
 
+// A single row walks the trees in lock-step groups; 20 trees of mixed
+// depth (empty ones and one over 64 leaves included) span two full
+// groups and a ragged one.
+TEST(PackedForestTest, ManyTreesSpanSeveralSingleRowGroups) {
+  Rng rng(23);
+  const size_t num_features = 5;
+  std::vector<RegressionTree> trees;
+  for (int t = 0; t < 19; ++t) {
+    trees.push_back(t % 7 == 3 ? RegressionTree()
+                               : RandomTree(&rng, 1 + t % 8,
+                                            static_cast<int>(num_features)));
+  }
+  trees.push_back(FullTree(&rng, 7, static_cast<int>(num_features)));
+  const auto rows = RandomRows(&rng, 60, num_features, 0.15);
+  CheckForestMatchesPredictRow(trees, num_features, rows);
+}
+
 TEST(PackedForestTest, MissingRoutesBothDirections) {
   // One split each way: default-left sends NaN to the left leaf (-1),
   // default-right to the right leaf (+1).
@@ -193,11 +264,11 @@ TEST(PackedForestTest, MissingRoutesBothDirections) {
 
     const std::vector<std::vector<double>> rows = {{kNaN}, {0.25}, {0.75}};
     CheckForestMatchesPredictRow(trees, 1, rows);
-    const double missing = forest->TreeMargin(0, rows[0].data(), 1, 0);
+    const double missing = RowMargin(*forest, rows[0].data(), 1, -0.0);
     EXPECT_EQ(missing, default_left ? -1.0 : 1.0);
     // Non-missing routing is unaffected by the default.
-    EXPECT_EQ(forest->TreeMargin(0, rows[1].data(), 1, 0), -1.0);
-    EXPECT_EQ(forest->TreeMargin(0, rows[2].data(), 1, 0), 1.0);
+    EXPECT_EQ(RowMargin(*forest, rows[1].data(), 1, -0.0), -1.0);
+    EXPECT_EQ(RowMargin(*forest, rows[2].data(), 1, -0.0), 1.0);
   }
 }
 
@@ -210,17 +281,15 @@ TEST(PackedForestTest, EmptyTreesContributeZero) {
   const auto rows = RandomRows(&rng, 40, 4, 0.2);
   CheckForestMatchesPredictRow(trees, 4, rows);
 
-  auto forest = PackedForest::Build(trees, 4);
-  ASSERT_TRUE(forest.ok());
-  EXPECT_EQ(forest->TreeMargin(0, rows[0].data(), 1, 0), 0.0);
-  EXPECT_EQ(forest->TreeMargin(2, rows[0].data(), 1, 0), 0.0);
+  EXPECT_EQ(TreeMargin(trees[0], 4, rows[0].data(), 1), 0.0);
+  EXPECT_EQ(TreeMargin(trees[2], 4, rows[0].data(), 1), 0.0);
 }
 
-TEST(PackedForestTest, DeepTreesUseFallbackLayoutAndStillMatch) {
+TEST(PackedForestTest, DeepTreesUseSteppedLayoutAndStillMatch) {
   Rng rng(11);
   const size_t num_features = 5;
   std::vector<RegressionTree> trees;
-  // 128 leaves: over the bitvector limit, must take the fallback layout.
+  // 128 leaves: over the bitvector limit, must take the stepped layout.
   trees.push_back(FullTree(&rng, 7, static_cast<int>(num_features)));
   // 64 leaves: exactly at the limit, must stay bitvector.
   trees.push_back(FullTree(&rng, 6, static_cast<int>(num_features)));
@@ -266,12 +335,20 @@ TEST(PackedForestTest, FeatureMapRemapsSplitsToPanelSlots) {
       panel[feature_map[f] * stride + i] = rows[i][f];
     }
   }
-  for (size_t t = 0; t < trees.size(); ++t) {
-    for (size_t r = 0; r < rows.size(); ++r) {
+  // Lane r of the panel as a single row: base pointer at the lane, the
+  // panel's stride between features.
+  for (size_t r = 0; r < rows.size(); ++r) {
+    double expected = 0.0;
+    for (size_t t = 0; t < trees.size(); ++t) {
       EXPECT_TRUE(SameBits(trees[t].PredictRow(rows[r]),
-                           forest->TreeMargin(t, panel.data(), stride, r)))
+                           TreeMargin(trees[t], num_features, panel.data() + r,
+                                      stride, &feature_map)))
           << "tree " << t << " row " << r;
+      expected += trees[t].PredictRow(rows[r]);
     }
+    EXPECT_TRUE(SameBits(expected,
+                         RowMargin(*forest, panel.data() + r, stride, 0.0)))
+        << "single row " << r;
   }
   std::vector<double> margins(rows.size(), 0.0);
   forest->AccumulateMargins(panel.data(), stride, rows.size(), margins.data());
@@ -280,6 +357,49 @@ TEST(PackedForestTest, FeatureMapRemapsSplitsToPanelSlots) {
     for (const RegressionTree& tree : trees) expected += tree.PredictRow(rows[r]);
     EXPECT_TRUE(SameBits(expected, margins[r])) << "row " << r;
   }
+}
+
+// Build sizes subtrees in one reverse pass, not by recursion: a chain a
+// million splits deep (2,000,001 nodes, the shape Deserialize accepts)
+// used to overflow the stack in a recursive leaf count.
+TEST(PackedForestTest, MillionDeepChainBuildsAndMatches) {
+  Rng rng(19);
+  const size_t num_features = 2;
+  ASSERT_TRUE(
+      RegressionTree::Deserialize(ChainTree(&rng, 1000).Serialize(), 2).ok());
+  const std::vector<RegressionTree> trees = {ChainTree(&rng, 1000000)};
+  auto forest = PackedForest::Build(trees, num_features);
+  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+  EXPECT_FALSE(forest->tree_uses_bitvector(0));
+
+  auto rows = RandomRows(&rng, 16, num_features, 0.2);
+  rows[0] = {1.5, 1.5};  // above every threshold: exits at the last leaf
+  CheckForestMatchesPredictRow(trees, num_features, rows);
+}
+
+TEST(PackedForestTest, BuildRejectsChildrenBeforeTheirParent) {
+  // Node 0 splits into 3 (internal) and 4; node 3 splits into 1 and 2.
+  // PredictRow walks it, but node 3's children precede it.
+  std::vector<TreeNode> nodes(5);
+  nodes[0].left = 3;
+  nodes[0].right = 4;
+  nodes[0].feature = 0;
+  nodes[3].left = 1;
+  nodes[3].right = 2;
+  nodes[3].feature = 0;
+  EXPECT_FALSE(PackedForest::Build({RegressionTree(nodes)}, 1).ok());
+
+  // A self-loop and a child past the end are rejected the same way.
+  std::vector<TreeNode> self_loop(3);
+  self_loop[0].left = 0;
+  self_loop[0].right = 2;
+  self_loop[0].feature = 0;
+  EXPECT_FALSE(PackedForest::Build({RegressionTree(self_loop)}, 1).ok());
+  std::vector<TreeNode> past_end(3);
+  past_end[0].left = 1;
+  past_end[0].right = 3;
+  past_end[0].feature = 0;
+  EXPECT_FALSE(PackedForest::Build({RegressionTree(past_end)}, 1).ok());
 }
 
 TEST(PackedForestTest, BuildRejectsUndersizedFeatureMap) {

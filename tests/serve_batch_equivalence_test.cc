@@ -22,6 +22,7 @@
 #include "src/core/operators.h"
 #include "src/dataframe/dataframe.h"
 #include "src/gbdt/booster.h"
+#include "src/gbdt/forest_layout.h"
 #include "src/obs/metrics.h"
 #include "src/serve/batch_scorer.h"
 #include "src/serve/scorer.h"
@@ -215,6 +216,62 @@ TEST(BatchEquivalenceTest, PropertyDatasetsAreBitIdenticalAcrossBatchSizes) {
     rows.reserve(data.num_rows());
     for (size_t r = 0; r < data.num_rows(); ++r) rows.push_back(data.x.Row(r));
     CheckBatchSweep(*scorer, rows);
+  }
+}
+
+/// Depth-8 trees: some exceed the forest's 64-leaf bitvector limit, so
+/// the stepped layout — the single-row walk at n == 1, lane-parallel in
+/// blocks — is checked against the interpreted path at every block
+/// boundary, on a NaN-bearing property dataset.
+TEST(BatchEquivalenceTest, DeepTreesAreBitIdenticalToInterpreter) {
+  const uint64_t seed = 3;
+  Dataset data = testutil::MakePropertyDataset(seed);
+  SafeParams params;
+  params.seed = seed;
+  SafeEngine engine(params);
+  auto fit = engine.Fit(data);
+  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+  auto engineered = fit->plan.Transform(data.x);
+  ASSERT_TRUE(engineered.ok()) << engineered.status().ToString();
+  gbdt::GbdtParams gbdt_params;
+  gbdt_params.seed = seed;
+  gbdt_params.num_trees = 20;
+  gbdt_params.max_depth = 8;
+  // Leaves down to a few rows, so trees grow past 64 leaves on a
+  // dataset of under a thousand rows (7 of the 20 here).
+  gbdt_params.min_child_weight = 0.1;
+  Dataset engineered_train{std::move(*engineered), data.y};
+  auto booster = gbdt::Booster::Fit(engineered_train, nullptr, gbdt_params);
+  ASSERT_TRUE(booster.ok()) << booster.status().ToString();
+  auto scorer = serve::RowScorer::Create(fit->plan, *booster);
+  ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
+
+  const gbdt::PackedForest& forest = scorer->batch().forest();
+  size_t stepped = 0;
+  for (size_t t = 0; t < forest.num_trees(); ++t) {
+    if (!forest.tree_uses_bitvector(t)) ++stepped;
+  }
+  ASSERT_GT(stepped, 0u) << "no tree over 64 leaves to check";
+
+  std::vector<std::vector<double>> rows;
+  std::vector<double> expected;
+  for (size_t r = 0; r < data.num_rows(); ++r) {
+    rows.push_back(data.x.Row(r));
+    auto transformed = fit->plan.TransformRow(rows.back());
+    ASSERT_TRUE(transformed.ok()) << transformed.status().ToString();
+    expected.push_back(booster->PredictRowProba(*transformed));
+  }
+  for (const size_t size : {size_t{1}, kB - 1, kB, kB + 1}) {
+    SCOPED_TRACE("batch size " + std::to_string(size));
+    ASSERT_LE(size, rows.size());
+    const std::vector<std::vector<double>> batch(rows.begin(),
+                                                 rows.begin() + size);
+    std::vector<double> out;
+    ASSERT_TRUE(scorer->ScoreBatch(batch, &out).ok());
+    ASSERT_EQ(out.size(), size);
+    for (size_t r = 0; r < size; ++r) {
+      EXPECT_TRUE(SameBits(expected[r], out[r])) << "row " << r;
+    }
   }
 }
 

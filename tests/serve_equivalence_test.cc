@@ -24,6 +24,7 @@
 #include "src/core/operators.h"
 #include "src/dataframe/dataframe.h"
 #include "src/gbdt/booster.h"
+#include "src/gbdt/forest_layout.h"
 #include "src/obs/report.h"
 #include "src/serve/compiled_plan.h"
 #include "src/serve/scorer.h"
@@ -312,6 +313,53 @@ TEST(RowScorerTest, FusedPipelineMatchesNaiveOnPropertyDatasets) {
   for (uint64_t seed : {1, 2, 3, 4, 5, 6}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     CheckFusedPipeline(seed);
+  }
+}
+
+/// Depth-8 trees: some exceed the forest's 64-leaf bitvector limit, so
+/// the stepped layout is checked end to end against the interpreter, on
+/// a NaN-bearing property dataset (seeds divisible by 3 carry NaNs).
+TEST(RowScorerTest, DeepTreesMatchNaiveOnPropertyDataset) {
+  const uint64_t seed = 3;
+  Dataset data = testutil::MakePropertyDataset(seed);
+  SafeParams params;
+  params.seed = seed;
+  SafeEngine engine(params);
+  auto fit = engine.Fit(data);
+  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+  auto engineered = fit->plan.Transform(data.x);
+  ASSERT_TRUE(engineered.ok()) << engineered.status().ToString();
+  gbdt::GbdtParams gbdt_params;
+  gbdt_params.seed = seed;
+  gbdt_params.num_trees = 20;
+  gbdt_params.max_depth = 8;
+  // Leaves down to a few rows, so trees grow past 64 leaves on a
+  // dataset of under a thousand rows (7 of the 20 here).
+  gbdt_params.min_child_weight = 0.1;
+  Dataset engineered_train{std::move(*engineered), data.y};
+  auto booster = gbdt::Booster::Fit(engineered_train, nullptr, gbdt_params);
+  ASSERT_TRUE(booster.ok()) << booster.status().ToString();
+  auto scorer = serve::RowScorer::Create(fit->plan, *booster);
+  ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
+
+  const gbdt::PackedForest& forest = scorer->batch().forest();
+  size_t stepped = 0;
+  for (size_t t = 0; t < forest.num_trees(); ++t) {
+    if (!forest.tree_uses_bitvector(t)) ++stepped;
+  }
+  ASSERT_GT(stepped, 0u) << "no tree over 64 leaves to check";
+
+  serve::RowScorer::Scratch scratch = scorer->MakeScratch();
+  for (size_t r = 0; r < data.num_rows(); ++r) {
+    const std::vector<double> row = data.x.Row(r);
+    auto transformed = fit->plan.TransformRow(row);
+    ASSERT_TRUE(transformed.ok()) << transformed.status().ToString();
+    const double naive = booster->PredictRowProba(*transformed);
+    EXPECT_TRUE(SameBits(naive, scorer->ScoreRow(row.data(), &scratch)))
+        << "ScoreRow, row " << r;
+    auto checked = scorer->Score(row);
+    ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+    EXPECT_TRUE(SameBits(naive, *checked)) << "Score(), row " << r;
   }
 }
 

@@ -16,16 +16,6 @@
 //     safe_cli inspect --plan=plan.txt
 //   demo       end-to-end run on a synthetic workload (no files needed)
 //     safe_cli demo [--rows=2000] [--features=10] [--seed=42]
-//   serve-bench  compiled+fused serving path vs the naive two-step path,
-//              plus the sharded scoring server under closed- and
-//              open-loop load (src/serve/server/)
-//     safe_cli serve-bench [--quick] [--train_rows=2000] [--features=24]
-//              [--rows=20000] [--repeats=3] [--batch=256] [--seed=42]
-//              [--server-shards=2] [--clients=4] [--server-queue=1024]
-//              [--batch-rows=64] [--batch-wait-us=100]
-//              [--closed-requests=2500] [--open-requests=20000]
-//              [--open-qps=20000]
-//              [--out=BENCH_serving.json] [--gate=bench/baselines/serving.json]
 //   trace      demo workload with the flight recorder armed; writes a
 //              Chrome trace-event JSON for chrome://tracing / Perfetto
 //     safe_cli trace [--rows=2000] [--features=10] [--seed=42]
@@ -59,7 +49,6 @@
 #include "src/gbdt/booster.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/trace_export.h"
-#include "src/serve/serve_bench.h"
 #include "src/stats/auc.h"
 
 namespace safe {
@@ -216,129 +205,6 @@ int RunDemo(const bench::Flags& flags) {
   if (!bench::EmitRunReport(flags, "safe_cli demo", watch.ElapsedSeconds(),
                             &result->iterations, /*print_table=*/true)) {
     return 1;
-  }
-  return 0;
-}
-
-int RunServeBench(const bench::Flags& flags) {
-  serve::ServeBenchOptions options;
-  options.quick = flags.GetBool("quick", false);
-  options.train_rows = static_cast<size_t>(
-      flags.GetInt("train_rows", static_cast<int64_t>(options.train_rows)));
-  options.features = static_cast<size_t>(
-      flags.GetInt("features", static_cast<int64_t>(options.features)));
-  options.score_rows = static_cast<size_t>(
-      flags.GetInt("rows", static_cast<int64_t>(options.score_rows)));
-  options.repeats = static_cast<size_t>(
-      flags.GetInt("repeats", static_cast<int64_t>(options.repeats)));
-  options.batch_size = static_cast<size_t>(
-      flags.GetInt("batch", static_cast<int64_t>(options.batch_size)));
-  options.seed = static_cast<uint64_t>(
-      flags.GetInt("seed", static_cast<int64_t>(options.seed)));
-  serve::ServerLoadOptions& load = options.server;
-  load.num_shards = static_cast<size_t>(flags.GetInt(
-      "server-shards", static_cast<int64_t>(load.num_shards)));
-  load.client_threads = static_cast<size_t>(
-      flags.GetInt("clients", static_cast<int64_t>(load.client_threads)));
-  load.queue_capacity = static_cast<size_t>(flags.GetInt(
-      "server-queue", static_cast<int64_t>(load.queue_capacity)));
-  load.max_batch_rows = static_cast<size_t>(flags.GetInt(
-      "batch-rows", static_cast<int64_t>(load.max_batch_rows)));
-  load.max_wait_us = static_cast<uint64_t>(flags.GetInt(
-      "batch-wait-us", static_cast<int64_t>(load.max_wait_us)));
-  load.closed_requests_per_client = static_cast<size_t>(flags.GetInt(
-      "closed-requests",
-      static_cast<int64_t>(load.closed_requests_per_client)));
-  load.open_requests = static_cast<size_t>(flags.GetInt(
-      "open-requests", static_cast<int64_t>(load.open_requests)));
-  load.open_target_qps = flags.GetDouble("open-qps", load.open_target_qps);
-
-  Stopwatch watch;
-  auto report = serve::RunServeBench(options);
-  if (!report.ok()) return Fail(report.status());
-
-  std::cout << "serving: " << report->features << " inputs -> "
-            << report->generated << " generated -> " << report->outputs
-            << " served, " << report->trees << " trees\n";
-  std::cout << "  naive:  p50 " << FormatDouble(report->naive.p50_us, 2)
-            << "us  p99 " << FormatDouble(report->naive.p99_us, 2) << "us  "
-            << FormatDouble(report->naive.rows_per_s, 0) << " rows/s\n";
-  std::cout << "  fused:  p50 " << FormatDouble(report->fused.p50_us, 2)
-            << "us  p99 " << FormatDouble(report->fused.p99_us, 2) << "us  "
-            << FormatDouble(report->fused.rows_per_s, 0) << " rows/s\n";
-  std::cout << "  batch:  " << FormatDouble(report->batch_rows_per_s, 0)
-            << " rows/s\n";
-  std::cout << "  speedup per-row " << FormatDouble(report->speedup, 2)
-            << "x, batch " << FormatDouble(report->batch_speedup, 2)
-            << "x, bit-identical "
-            << (report->outputs_identical ? "yes" : "NO") << "\n";
-  std::cout << "  server (" << report->server_shards << " shards, "
-            << report->server_clients << " clients): closed p99 "
-            << FormatDouble(report->server_closed.p99_us, 2) << "us at "
-            << FormatDouble(report->server_closed.sustained_qps, 0)
-            << " qps; open p99 "
-            << FormatDouble(report->server_open.p99_us, 2) << "us at "
-            << FormatDouble(report->server_open.sustained_qps, 0)
-            << " qps (target "
-            << FormatDouble(report->server_open_target_qps, 0)
-            << "), bit-identical "
-            << (report->server_outputs_identical ? "yes" : "NO") << "\n";
-
-  const std::string out_path = flags.GetString("out", "");
-  if (!out_path.empty()) {
-    Status st = WriteWholeFile(out_path, report->ToJson().Serialize());
-    if (!st.ok()) return Fail(st);
-    std::cout << "wrote " << out_path << "\n";
-  }
-  if (!bench::EmitRunReport(flags, "safe_cli serve-bench",
-                            watch.ElapsedSeconds(), nullptr,
-                            /*print_table=*/true)) {
-    return 1;
-  }
-  const std::string gate_path = flags.GetString("gate", "");
-  if (!gate_path.empty()) {
-    auto gate = serve::ReadServingGate(gate_path);
-    if (!gate.ok()) return Fail(gate.status());
-    if (report->speedup < gate->min_speedup) {
-      return Fail("serving gate failed: speedup " +
-                  FormatDouble(report->speedup, 2) + "x < " +
-                  FormatDouble(gate->min_speedup, 2) + "x (" + gate_path +
-                  ")");
-    }
-    std::cout << "gate ok: " << FormatDouble(report->speedup, 2)
-              << "x >= " << FormatDouble(gate->min_speedup, 2) << "x\n";
-    if (gate->min_batch_speedup > 0.0 &&
-        report->batch_speedup < gate->min_batch_speedup) {
-      return Fail("serving gate failed: batch speedup " +
-                  FormatDouble(report->batch_speedup, 2) + "x < " +
-                  FormatDouble(gate->min_batch_speedup, 2) + "x (" + gate_path +
-                  ")");
-    }
-    if (gate->min_batch_speedup > 0.0) {
-      std::cout << "gate ok: batch " << FormatDouble(report->batch_speedup, 2)
-                << "x >= " << FormatDouble(gate->min_batch_speedup, 2)
-                << "x\n";
-    }
-    if (gate->max_recorder_overhead_pct > 0.0 && report->recorder_enabled &&
-        report->recorder_overhead_pct > gate->max_recorder_overhead_pct) {
-      return Fail("serving gate failed: recorder overhead " +
-                  FormatDouble(report->recorder_overhead_pct, 2) + "% > " +
-                  FormatDouble(gate->max_recorder_overhead_pct, 2) + "% (" +
-                  gate_path + ")");
-    }
-    if (gate->min_sustained_qps > 0.0 &&
-        report->server_open.sustained_qps < gate->min_sustained_qps) {
-      return Fail("serving gate failed: sustained " +
-                  FormatDouble(report->server_open.sustained_qps, 0) +
-                  " qps < " + FormatDouble(gate->min_sustained_qps, 0) +
-                  " qps (" + gate_path + ")");
-    }
-    if (gate->min_sustained_qps > 0.0) {
-      std::cout << "gate ok: sustained "
-                << FormatDouble(report->server_open.sustained_qps, 0)
-                << " qps >= " << FormatDouble(gate->min_sustained_qps, 0)
-                << " qps\n";
-    }
   }
   return 0;
 }
@@ -508,7 +374,7 @@ int RunInspect(const bench::Flags& flags) {
 int Main(int argc, char** argv) {
   if (argc < 2) {
     std::cerr << "usage: safe_cli "
-                 "<fit|transform|evaluate|inspect|demo|serve-bench|trace> "
+                 "<fit|transform|evaluate|inspect|demo|trace> "
                  "[--flags]\n"
                  "(see the header comment of tools/safe_cli.cc)\n";
     return 1;
@@ -524,7 +390,6 @@ int Main(int argc, char** argv) {
   if (command == "evaluate") return RunEvaluate(flags);
   if (command == "inspect") return RunInspect(flags);
   if (command == "demo") return RunDemo(flags);
-  if (command == "serve-bench") return RunServeBench(flags);
   if (command == "trace") return RunTrace(flags);
   return Fail("unknown command '" + command + "'");
 }

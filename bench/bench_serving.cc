@@ -11,9 +11,9 @@
 // the two paths (the equivalence contract of DESIGN.md "Serving path").
 //
 // The run also re-times the fused path with the flight recorder armed vs
-// disarmed; when the gate file carries "max_recorder_overhead_pct" (and
-// the build has SAFE_TELEMETRY=ON), overhead above that ceiling fails
-// the gate the same way a speedup shortfall does.
+// disarmed; when the gate file carries "max_recorder_overhead_pct",
+// overhead above that ceiling fails the gate the same way a speedup
+// shortfall does.
 //
 // The run also drives the sharded scoring server (src/serve/server/)
 // with a closed-loop and an open-loop load generator (arrivals on a
@@ -125,16 +125,11 @@ int Main(int argc, char** argv) {
               << FormatDouble(point.rows_per_s / 1000.0, 0) << "K/s";
   }
   std::cout << "\n";
-  if (report->recorder_enabled) {
-    std::cout << "recorder overhead (fused, armed vs disarmed): "
-              << FormatDouble(report->recorder_overhead_pct, 2) << "% ("
-              << FormatDouble(report->fused_armed_rows_per_s, 0)
-              << " vs "
-              << FormatDouble(report->fused_disarmed_rows_per_s, 0)
-              << " rows/s)\n";
-  } else {
-    std::cout << "recorder overhead: n/a (SAFE_TELEMETRY=OFF build)\n";
-  }
+  std::cout << "recorder overhead (fused, armed vs disarmed): "
+            << FormatDouble(report->recorder_overhead_pct, 2) << "% ("
+            << FormatDouble(report->fused_armed_rows_per_s, 0) << " vs "
+            << FormatDouble(report->fused_disarmed_rows_per_s, 0)
+            << " rows/s)\n";
 
   std::cout << "\n=== Scoring server: " << report->server_shards
             << " shards, " << report->server_clients << " clients, B="
@@ -210,7 +205,7 @@ int Main(int argc, char** argv) {
                 << "x >= " << FormatDouble(gate->min_batch_speedup, 2)
                 << "x (" << gate_path << ")\n";
     }
-    if (gate->max_recorder_overhead_pct > 0.0 && report->recorder_enabled) {
+    if (gate->max_recorder_overhead_pct > 0.0) {
       if (report->recorder_overhead_pct > gate->max_recorder_overhead_pct) {
         std::cerr << "bench_serving: GATE FAILED — recorder-armed overhead "
                   << FormatDouble(report->recorder_overhead_pct, 2)

@@ -79,7 +79,8 @@ Result<double> EvaluatePlan(const FeaturePlan& plan,
 /// \brief Writes a telemetry RunReport (obs/report.h) to the path named
 /// by the `--report=<path>` flag; a no-op when the flag is absent.
 ///
-/// The report captures the global metrics registry and span timeline,
+/// The report captures the global metrics registry, the flight
+/// recorder's span timeline (empty unless --trace armed it),
 /// `wall_seconds`, and (when non-null) the SAFE per-iteration funnel
 /// diagnostics under an "iterations" section. Additional caller-built
 /// top-level sections (e.g. bench_scaling's "thread_sweep") ride along in

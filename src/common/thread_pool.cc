@@ -8,8 +8,6 @@
 #include "src/obs/flight_recorder.h"
 // lint: layering-ok(see above)
 #include "src/obs/metrics.h"
-// lint: layering-ok(see above)
-#include "src/obs/trace.h"
 
 namespace safe {
 
@@ -104,7 +102,7 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
   t_worker_pool = this;
   t_worker_index = static_cast<int>(worker_index);
   // Flight-recorder timelines carry the pool/worker identity so traces
-  // attribute task grains to specific workers (no-op with telemetry off).
+  // attribute task grains to specific workers.
   obs::FlightRecorder::Global()->SetCurrentThreadLabel(
       "pool" + std::to_string(pool_id_) + ".worker" +
       std::to_string(worker_index));

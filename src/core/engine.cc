@@ -14,7 +14,6 @@
 #include "src/obs/flight_recorder.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace safe {
 
@@ -188,7 +187,6 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
       params_.max_output_features > 0 ? params_.max_output_features
                                       : 2 * orig_m;
 
-  SAFE_TRACE_SPAN("engine.fit");
   SAFE_FR_SCOPE("engine.fit");
   Stopwatch total_watch;
   Rng rng(params_.seed);
@@ -223,7 +221,6 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
         iter > 0) {
       break;
     }
-    SAFE_TRACE_SPAN("engine.iteration");
     SAFE_FR_SCOPE("engine.iteration");
     Stopwatch iter_watch;
     IterationDiagnostics diag;
@@ -238,7 +235,6 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
     std::vector<FeatureCombination> combos;
     const double mine_start = iter_watch.ElapsedSeconds();
     {
-    SAFE_TRACE_SPAN("engine.mine_combinations");
     SAFE_FR_SCOPE("engine.mine_combinations");
     if (params_.strategy == MiningStrategy::kTreePaths ||
         params_.strategy == MiningStrategy::kSplitFeaturePairs ||
@@ -301,7 +297,6 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
     DataFrame generated_valid;
     const double generate_start = iter_watch.ElapsedSeconds();
     {
-    SAFE_TRACE_SPAN("engine.generate_features");
     SAFE_FR_SCOPE("engine.generate_features");
     // Enumerate candidate columns serially in combination order (the
     // order a serial run would generate them in), evaluate each one as
@@ -435,7 +430,6 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
     std::vector<double> ivs;
     std::vector<size_t> after_iv;
     {
-      SAFE_TRACE_SPAN("engine.iv_filter");
       SAFE_FR_SCOPE("engine.iv_filter");
       ivs = ComputeIvs(candidates.x, candidates.labels(), params_.iv_bins,
                        pool);
@@ -454,7 +448,6 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
     const double redundancy_start = iter_watch.ElapsedSeconds();
     std::vector<size_t> after_redundancy;
     {
-      SAFE_TRACE_SPAN("engine.redundancy_filter");
       SAFE_FR_SCOPE("engine.redundancy_filter");
       after_redundancy = RedundancyFilterIndices(
           candidates.x, ivs, after_iv, params_.pearson_threshold, pool);
@@ -469,7 +462,6 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
     if (params_.n_threads != 0) ranker_params.n_threads = params_.n_threads;
     std::vector<size_t> selected;
     {
-      SAFE_TRACE_SPAN("engine.importance_rank");
       SAFE_FR_SCOPE("engine.importance_rank");
       SAFE_ASSIGN_OR_RETURN(
           selected, ImportanceRankIndices(candidates, after_redundancy, ivs,

@@ -4,14 +4,14 @@
 #include <fstream>
 
 #include "src/common/string_util.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace safe {
 
 Result<DataFrame> ReadCsv(const std::string& path,
                           const CsvReadOptions& options) {
-  SAFE_TRACE_SPAN("csv.read");
+  SAFE_FR_SCOPE("csv.read");
   std::ifstream in(path);
   if (!in) {
     return Status::IoError("cannot open '" + path + "' for reading");
@@ -73,7 +73,7 @@ Result<DataFrame> ReadCsv(const std::string& path,
 
 Status WriteCsv(const DataFrame& frame, const std::string& path,
                 char delimiter) {
-  SAFE_TRACE_SPAN("csv.write");
+  SAFE_FR_SCOPE("csv.write");
   obs::MetricsRegistry::Global()
       ->counter("csv.rows_written")
       ->Increment(frame.num_rows());

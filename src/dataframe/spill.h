@@ -14,10 +14,10 @@
 
 namespace safe {
 
-/// \brief Point-in-time counters of one SpillPool. Plain integers (not
-/// obs metrics) so the numbers survive SAFE_TELEMETRY=OFF builds and can
-/// be asserted on in tests; the pool mirrors them into the
-/// `dataframe.spill.*` registry series when telemetry is compiled in.
+/// \brief Point-in-time counters of one SpillPool, so tests and
+/// benchmarks can read what this pool did. The pool also mirrors them
+/// into the process-wide `dataframe.spill.*` registry series, which add
+/// up every pool in the process.
 struct SpillPoolStats {
   uint64_t evictions = 0;          ///< groups moved out of residency
   uint64_t faults = 0;             ///< groups copied back in on access

@@ -17,7 +17,6 @@
 #include "src/gbdt/trainer.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace safe {
 namespace gbdt {
@@ -149,7 +148,6 @@ Result<Booster> Booster::Fit(const Dataset& train, const Dataset* valid,
         "gbdt: tree_method=exact requires resident (non-chunked) columns");
   }
 
-  SAFE_TRACE_SPAN("gbdt.fit");
   SAFE_FR_SCOPE("gbdt.fit");
   FitsCounter()->Increment();
 
@@ -164,7 +162,6 @@ Result<Booster> Booster::Fit(const Dataset& train, const Dataset* valid,
   // Histogram path quantizes up front; the exact path pre-sorts columns.
   BinnedMatrix matrix;
   if (params.tree_method == TreeMethod::kHist) {
-    SAFE_TRACE_SPAN("gbdt.quantize");
     SAFE_FR_SCOPE("gbdt.quantize");
     SAFE_ASSIGN_OR_RETURN(
         FeatureQuantizer quantizer,
@@ -200,7 +197,6 @@ Result<Booster> Booster::Fit(const Dataset& train, const Dataset* valid,
   for (size_t f = 0; f < m; ++f) all_features[f] = static_cast<int>(f);
 
   for (size_t round = 0; round < params.num_trees; ++round) {
-    SAFE_TRACE_SPAN("gbdt.train_tree");
     SAFE_FR_SCOPE("gbdt.train_tree");
     const uint64_t tree_start_ns = obs::NowNanos();
     ComputeGradients(params.objective, margins, *train.y, &grad, &hess,

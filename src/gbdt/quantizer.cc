@@ -1,7 +1,7 @@
 #include "src/gbdt/quantizer.h"
 
 #include "src/common/thread_pool.h"
-#include "src/obs/trace.h"
+#include "src/obs/flight_recorder.h"
 
 namespace safe {
 namespace gbdt {
@@ -9,7 +9,7 @@ namespace gbdt {
 Result<FeatureQuantizer> FeatureQuantizer::Fit(const DataFrame& frame,
                                                size_t max_bins,
                                                ThreadPool* pool) {
-  SAFE_TRACE_SPAN("gbdt.quantizer_fit");
+  SAFE_FR_SCOPE("gbdt.quantizer_fit");
   if (frame.num_columns() == 0 || frame.num_rows() == 0) {
     return Status::InvalidArgument("quantizer: empty frame");
   }
@@ -38,7 +38,7 @@ Result<FeatureQuantizer> FeatureQuantizer::Fit(const DataFrame& frame,
 
 Result<BinnedMatrix> FeatureQuantizer::Transform(const DataFrame& frame,
                                                  ThreadPool* pool) const {
-  SAFE_TRACE_SPAN("gbdt.quantizer_transform");
+  SAFE_FR_SCOPE("gbdt.quantizer_transform");
   if (frame.num_columns() != edges_.size()) {
     return Status::InvalidArgument(
         "quantizer: frame has " + std::to_string(frame.num_columns()) +

@@ -8,7 +8,6 @@
 #include "src/common/logging.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace safe {
 namespace gbdt {

@@ -77,7 +77,7 @@ struct Marker {
 /// One `#include "..."` directive (quoted form only; angle includes are
 /// toolchain headers and outside the layering rule's scope).
 struct IncludeDirective {
-  std::string target;  // the quoted path as written, e.g. "src/obs/trace.h"
+  std::string target;  // the quoted path as written, e.g. "src/obs/metrics.h"
   size_t line = 0;     // 1-based line of the directive
   size_t offset = 0;   // byte offset of the '#'
 };

@@ -1,8 +1,6 @@
 #include "src/obs/flight_recorder.h"
 
-#if SAFE_TELEMETRY_ENABLED
-
-#include "src/obs/trace.h"  // NowNanos: shared trace epoch
+#include "src/obs/metrics.h"  // NowNanos: shared trace epoch
 
 namespace safe {
 namespace obs {
@@ -142,5 +140,3 @@ void SampledFlightScope::End() {
 
 }  // namespace obs
 }  // namespace safe
-
-#endif  // SAFE_TELEMETRY_ENABLED

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/common/thread_annotations.h"
-#include "src/obs/metrics.h"  // for SAFE_TELEMETRY_ENABLED
 
 namespace safe {
 namespace obs {
@@ -17,8 +16,9 @@ namespace obs {
 /// \brief Kind of one flight-recorder event.
 ///
 /// Spans are recorded as separate begin/end events (not one completed
-/// record like obs::TraceSpan) so the record path stays a single fixed
-/// size write with no per-scope state beyond the RAII object itself.
+/// record) so the record path stays a single fixed size write with no
+/// per-scope state beyond the RAII object itself; SpansFromTimelines
+/// (src/obs/report.h) pairs them back into spans for run reports.
 enum class TraceEventType : uint16_t {
   kBegin = 0,    ///< span opens; matched by the next kEnd at same depth
   kEnd = 1,      ///< span closes
@@ -29,9 +29,9 @@ enum class TraceEventType : uint16_t {
 /// \brief One POD flight-recorder event: 32 bytes, trivially copyable.
 ///
 /// `name` must be a string literal (or otherwise outlive the recorder);
-/// the record path never copies or owns it. Timestamps share the
-/// monotonic process trace epoch with obs::Tracer, so flight-recorder
-/// timelines and coarse spans line up on one clock.
+/// the record path never copies or owns it. Timestamps are
+/// obs::NowNanos(), the monotonic process trace epoch the latency
+/// histograms also read, so every timeline lines up on one clock.
 struct TraceEvent {
   uint64_t ts_ns = 0;          ///< nanoseconds since the trace epoch
   const char* name = nullptr;  ///< static string; never owned
@@ -52,8 +52,6 @@ struct ThreadTimeline {
   uint64_t dropped = 0;       ///< events rejected because the buffer was full
   std::vector<TraceEvent> events;
 };
-
-#if SAFE_TELEMETRY_ENABLED
 
 class FlightRecorder;
 
@@ -132,15 +130,16 @@ extern thread_local uint64_t g_sample_counter;
 
 }  // namespace internal
 
-/// \brief Always-compilable low-overhead event tracer.
+/// \brief Low-overhead event tracer: the library's one span system.
 ///
 /// Each thread records into its own fixed-capacity internal::EventBuffer
-/// (registered on first use, kept alive past thread exit via shared_ptr,
-/// exactly like obs::Tracer). The global instance is *armed* explicitly
-/// (--trace on the bench harness, `safe_cli trace`, or tests); while
-/// disarmed, the SAFE_FR_* instrumentation macros reduce to a relaxed
-/// atomic load. Snapshot() drains every buffer into ThreadTimelines for
-/// the Chrome-trace exporter (src/obs/trace_export.h).
+/// (registered on first use, kept alive past thread exit via shared_ptr).
+/// The global instance is *armed* explicitly (--trace on the bench
+/// harness, `safe_cli trace`, or tests); while disarmed, the SAFE_FR_*
+/// instrumentation macros reduce to a relaxed atomic load. Snapshot()
+/// drains every buffer into ThreadTimelines for the Chrome-trace
+/// exporter (src/obs/trace_export.h) and RunReport's span section
+/// (SpansFromTimelines, src/obs/report.h).
 ///
 /// Clear() and label writes take the registry mutex; Record is
 /// synchronization-free. Clearing while other threads are actively
@@ -267,50 +266,6 @@ inline void FlightRecorderCounter(const char* name, double value) {
   }
 }
 
-#else  // !SAFE_TELEMETRY_ENABLED — inline no-op stubs.
-
-class FlightRecorder {
- public:
-  static constexpr size_t kDefaultEventsPerThread = size_t{1} << 16;
-
-  explicit FlightRecorder(size_t = kDefaultEventsPerThread) {}
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  static void Arm() {}
-  static void Disarm() {}
-  static bool armed() { return false; }
-  void SetCurrentThreadLabel(const std::string&) {}
-  void RecordInstant(const char*) {}
-  void RecordCounter(const char*, double) {}
-  std::vector<ThreadTimeline> Snapshot() const { return {}; }
-  void Clear() {}
-  size_t events_per_thread() const { return 0; }
-  static FlightRecorder* Global() {
-    static FlightRecorder recorder;
-    return &recorder;
-  }
-};
-
-class FlightScope {
- public:
-  explicit FlightScope(const char*) {}
-  FlightScope(const FlightScope&) = delete;
-  FlightScope& operator=(const FlightScope&) = delete;
-};
-
-class SampledFlightScope {
- public:
-  SampledFlightScope(const char*, uint32_t) {}
-  SampledFlightScope(const SampledFlightScope&) = delete;
-  SampledFlightScope& operator=(const SampledFlightScope&) = delete;
-};
-
-inline void FlightRecorderInstant(const char*) {}
-inline void FlightRecorderCounter(const char*, double) {}
-
-#endif  // SAFE_TELEMETRY_ENABLED
-
 }  // namespace obs
 }  // namespace safe
 
@@ -320,7 +275,7 @@ inline void FlightRecorderCounter(const char*, double) {}
 /// Opens a flight-recorder span for the enclosing scope:
 ///   SAFE_FR_SCOPE("gbdt.build_histograms");
 /// `name` must be a string literal. Records nothing while the global
-/// recorder is disarmed (or when SAFE_TELEMETRY=OFF).
+/// recorder is disarmed.
 #define SAFE_FR_SCOPE(name)                                         \
   ::safe::obs::FlightScope SAFE_FR_CONCAT(safe_fr_scope_, __LINE__)(name)
 

@@ -1,9 +1,19 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
+#include <chrono>
 
 namespace safe {
 namespace obs {
+
+uint64_t NowNanos() {
+  using SteadyClock = std::chrono::steady_clock;
+  static const SteadyClock::time_point epoch = SteadyClock::now();
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          SteadyClock::now() - epoch)
+          .count());
+}
 
 std::vector<double> DefaultLatencyBucketsUs() {
   // 1-2.5-5 decades from 1us to 1s; the overflow bucket catches the rest.
@@ -11,8 +21,6 @@ std::vector<double> DefaultLatencyBucketsUs() {
           250.0,  500.0,  1000.0, 2500.0,  5000.0,  10000.0,  25000.0,
           50000.0, 100000.0, 250000.0, 500000.0, 1000000.0};
 }
-
-#if SAFE_TELEMETRY_ENABLED
 
 namespace {
 /// Process-unique sequence number for the calling thread, assigned on
@@ -143,8 +151,6 @@ MetricsRegistry* MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();  // never freed
   return registry;
 }
-
-#endif  // SAFE_TELEMETRY_ENABLED
 
 }  // namespace obs
 }  // namespace safe

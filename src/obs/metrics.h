@@ -9,16 +9,14 @@
 
 #include "src/common/thread_annotations.h"
 
-// Compile-time telemetry switch (CMake option SAFE_TELEMETRY). When off,
-// every metric and span in the tree compiles to an inline no-op so the
-// instrumented hot paths carry zero overhead and the binaries contain no
-// telemetry symbols (tools/check_telemetry_symbols.py verifies this).
-#ifndef SAFE_TELEMETRY_ENABLED
-#define SAFE_TELEMETRY_ENABLED 1
-#endif
-
 namespace safe {
 namespace obs {
+
+/// Nanoseconds since the process-wide trace epoch (steady clock; the
+/// epoch is pinned by the first call). Flight-recorder events and the
+/// *_us latency histograms read this one clock, so every timestamp in a
+/// run lines up.
+uint64_t NowNanos();
 
 /// \brief Point-in-time copy of one histogram.
 ///
@@ -46,8 +44,6 @@ struct MetricsSnapshot {
 /// for the *_us histograms registered across the library.
 std::vector<double> DefaultLatencyBucketsUs();
 
-// Declared for both telemetry modes; defined in metrics.cc (real) or as
-// an inline stub below (no-op).
 class Histogram;
 
 /// \brief Histogram in the global registry named
@@ -57,12 +53,9 @@ class Histogram;
 /// Gives hot parallel stages (e.g. the GBDT per-feature histogram build)
 /// per-thread timing series without any cross-thread contention: the
 /// resolved pointer is cached thread-locally, so repeated calls from the
-/// same thread touch only that thread's map. With SAFE_TELEMETRY=OFF this
-/// returns the shared no-op histogram.
+/// same thread touch only that thread's map.
 Histogram* PerThreadHistogram(const std::string& base_name,
                               std::vector<double> upper_bounds);
-
-#if SAFE_TELEMETRY_ENABLED
 
 /// \brief Monotonically increasing counter; lock-free relaxed increments.
 class Counter {
@@ -152,59 +145,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       GUARDED_BY(mutex_);
 };
-
-#else  // !SAFE_TELEMETRY_ENABLED — inline no-op stubs.
-
-class Counter {
- public:
-  void Increment(uint64_t = 1) {}
-  uint64_t value() const { return 0; }
-  void Reset() {}
-};
-
-class Gauge {
- public:
-  void Set(double) {}
-  void Add(double) {}
-  double value() const { return 0.0; }
-  void Reset() {}
-};
-
-class Histogram {
- public:
-  explicit Histogram(const std::vector<double>&) {}
-  void Observe(double) {}
-  HistogramSnapshot Snapshot() const { return {}; }
-  void Reset() {}
-};
-
-namespace internal {
-inline Counter g_noop_counter;
-inline Gauge g_noop_gauge;
-inline Histogram g_noop_histogram{{}};
-}  // namespace internal
-
-inline Histogram* PerThreadHistogram(const std::string&,
-                                     std::vector<double>) {
-  return &internal::g_noop_histogram;
-}
-
-class MetricsRegistry {
- public:
-  Counter* counter(const std::string&) { return &internal::g_noop_counter; }
-  Gauge* gauge(const std::string&) { return &internal::g_noop_gauge; }
-  Histogram* histogram(const std::string&, std::vector<double>) {
-    return &internal::g_noop_histogram;
-  }
-  MetricsSnapshot Snapshot() const { return {}; }
-  void Reset() {}
-  static MetricsRegistry* Global() {
-    static MetricsRegistry registry;
-    return &registry;
-  }
-};
-
-#endif  // SAFE_TELEMETRY_ENABLED
 
 }  // namespace obs
 }  // namespace safe

@@ -4,9 +4,9 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <sstream>
 
-#include "src/obs/flight_recorder.h"
 #include "src/obs/trace_export.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -18,7 +18,7 @@ namespace obs {
 
 namespace {
 
-constexpr int kReportSchemaVersion = 1;
+constexpr int kReportSchemaVersion = 2;
 
 std::string FormatFixed(double value, int decimals) {
   char buf[64];
@@ -66,6 +66,51 @@ JsonValue MetricsToJson(const MetricsSnapshot& metrics) {
   return out;
 }
 
+std::vector<SpanRecord> SpansFromTimelines(
+    const std::vector<ThreadTimeline>& timelines) {
+  std::vector<SpanRecord> spans;
+  for (const ThreadTimeline& timeline : timelines) {
+    std::vector<size_t> open;  // indices into `spans`, innermost last
+    uint64_t last_ts_ns = 0;
+    for (const TraceEvent& event : timeline.events) {
+      if (event.ts_ns > last_ts_ns) last_ts_ns = event.ts_ns;
+      if (event.type == TraceEventType::kBegin) {
+        SpanRecord span;
+        span.name = event.name != nullptr ? event.name : "";
+        span.start_ns = event.ts_ns;
+        span.thread_index = timeline.thread_index;
+        span.depth = static_cast<uint32_t>(open.size());
+        open.push_back(spans.size());
+        spans.push_back(std::move(span));
+      } else if (event.type == TraceEventType::kEnd && !open.empty()) {
+        SpanRecord& span = spans[open.back()];
+        span.duration_ns = event.ts_ns - span.start_ns;
+        open.pop_back();
+      }
+    }
+    for (const size_t index : open) {
+      spans[index].duration_ns = last_ts_ns - spans[index].start_ns;
+    }
+  }
+  // Start time, then depth; equal keys keep their order above (timeline,
+  // then begin order within it).
+  std::vector<size_t> order(spans.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&spans](size_t a, size_t b) {
+    if (spans[a].start_ns != spans[b].start_ns) {
+      return spans[a].start_ns < spans[b].start_ns;
+    }
+    if (spans[a].depth != spans[b].depth) {
+      return spans[a].depth < spans[b].depth;
+    }
+    return a < b;
+  });
+  std::vector<SpanRecord> sorted;
+  sorted.reserve(spans.size());
+  for (const size_t index : order) sorted.push_back(std::move(spans[index]));
+  return sorted;
+}
+
 JsonValue SpansToJson(const std::vector<SpanRecord>& spans) {
   JsonValue out = JsonValue::Array();
   for (const auto& span : spans) {
@@ -97,12 +142,12 @@ void RunReport::CaptureTelemetry() {
   }
 #endif
   metrics_ = MetricsRegistry::Global()->Snapshot();
-  spans_ = Tracer::Global()->Snapshot();
-  // The flight-recorder summary rides along whenever anything was
-  // recorded (or dropped), so reports show event volume per thread
-  // without embedding the full trace.
   const std::vector<ThreadTimeline> timelines =
       FlightRecorder::Global()->Snapshot();
+  spans_ = SpansFromTimelines(timelines);
+  // The flight-recorder summary rides along whenever anything was
+  // recorded (or dropped), so reports show event volume and drops per
+  // thread next to the spans.
   uint64_t total = 0;
   for (const ThreadTimeline& timeline : timelines) {
     total += timeline.events.size() + timeline.dropped;
@@ -126,7 +171,6 @@ JsonValue RunReport::ToJson() const {
   JsonValue out = JsonValue::Object();
   out.Set("tool", JsonValue(tool_));
   out.Set("schema_version", JsonValue(kReportSchemaVersion));
-  out.Set("telemetry_enabled", JsonValue(SAFE_TELEMETRY_ENABLED != 0));
   out.Set("wall_seconds", JsonValue(wall_seconds_));
   out.Set("metrics", MetricsToJson(metrics_));
   out.Set("spans", SpansToJson(spans_));

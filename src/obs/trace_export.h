@@ -34,8 +34,7 @@ JsonValue FlightRecorderSummaryJson(
 
 /// Snapshots the global FlightRecorder and writes ChromeTraceJson to
 /// `path` (compact, single line). Returns false and fills `*error`
-/// (when non-null) on I/O failure. With SAFE_TELEMETRY=OFF this writes
-/// a valid empty trace document.
+/// (when non-null) on I/O failure.
 bool WriteChromeTrace(const std::string& path, std::string* error = nullptr);
 
 }  // namespace obs

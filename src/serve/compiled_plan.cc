@@ -157,6 +157,13 @@ Result<CompiledPlan> CompiledPlan::Compile(const FeaturePlan& plan) {
 
 void CompiledPlan::Execute(const double* row, double* scratch,
                            double* out) const {
+  ExecuteSlots(row, scratch);
+  for (size_t i = 0; i < selected_slots_.size(); ++i) {
+    out[i] = scratch[selected_slots_[i]];
+  }
+}
+
+void CompiledPlan::ExecuteSlots(const double* row, double* scratch) const {
   if (num_inputs_ > 0) {
     std::memcpy(scratch, row, num_inputs_ * sizeof(double));
   }
@@ -239,9 +246,6 @@ void CompiledPlan::Execute(const double* row, double* scratch,
       }
     }
     scratch[inst.out] = value;
-  }
-  for (size_t i = 0; i < selected_slots_.size(); ++i) {
-    out[i] = scratch[selected_slots_[i]];
   }
 }
 

@@ -105,6 +105,12 @@ class CompiledPlan {
   /// locks — safe for concurrent callers with distinct buffers.
   void Execute(const double* row, double* scratch, double* out) const;
 
+  /// Execute without the output gather: runs the program on one dense
+  /// row and leaves the served outputs in their scratch slots
+  /// (selected_slots()), for callers that read them there, like
+  /// RowScorer's forest walk.
+  void ExecuteSlots(const double* row, double* scratch) const;
+
   /// Block-wise form of Execute for the vectorized batch path: `panels`
   /// is a slot-major matrix (scratch slot s occupies
   /// [s * stride, s * stride + n)) whose input slots [0, num_inputs())

@@ -7,7 +7,6 @@
 #include "src/gbdt/loss.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace safe {
 namespace serve {
@@ -75,14 +74,13 @@ Result<RowScorer> RowScorer::Create(const FeaturePlan& plan,
 RowScorer::Scratch RowScorer::MakeScratch() const {
   Scratch scratch;
   scratch.slots.resize(plan().scratch_size());
-  scratch.features.resize(plan().num_outputs());
   return scratch;
 }
 
 // lint: hot-path
 double RowScorer::ScoreRowMargin(const double* row, Scratch* scratch) const {
   const BatchScorer& batch = *batch_;
-  batch.plan().Execute(row, scratch->slots.data(), scratch->features.data());
+  batch.plan().ExecuteSlots(row, scratch->slots.data());
   // The forest's split features were remapped to program slots, so the
   // single-row walk reads the scratch slots directly (stride 1, one
   // lane). Base score first, then the trees in order: the same sum as
@@ -109,8 +107,7 @@ RowScorer::Scratch* RowScorer::LocalScratch() const {
   for (auto& [key, scratch] : cache) {
     if (key == this) {
       // Guard against address reuse after another scorer's destruction.
-      if (scratch->slots.size() != plan().scratch_size() ||
-          scratch->features.size() != plan().num_outputs()) {
+      if (scratch->slots.size() != plan().scratch_size()) {
         *scratch = MakeScratch();
       }
       return scratch.get();
@@ -145,7 +142,6 @@ Result<double> RowScorer::ScoreMargin(const std::vector<double>& row) const {
 
 Status RowScorer::ScoreBatch(const std::vector<std::vector<double>>& rows,
                              std::vector<double>* out) const {
-  SAFE_TRACE_SPAN("serve.score_batch");
   SAFE_FR_SCOPE("serve.score_batch");
   const uint64_t start_ns = obs::NowNanos();
   if (out == nullptr) {

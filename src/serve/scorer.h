@@ -34,12 +34,10 @@ namespace serve {
 /// two-step path — for every row (serve_equivalence_test).
 class RowScorer {
  public:
-  /// Reusable per-caller buffers: the compiled plan's scratch slots (the
-  /// forest reads its split features there) plus the transformed feature
-  /// vector CompiledPlan::Execute gathers.
+  /// Reusable per-caller buffer: the compiled plan's scratch slots (the
+  /// forest reads its split features there).
   struct Scratch {
     std::vector<double> slots;
-    std::vector<double> features;
   };
 
   /// A placeholder to assign a Create result to; it holds no plan or

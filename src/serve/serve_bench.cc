@@ -62,6 +62,15 @@ PathStats SummarizeSamples(std::vector<uint64_t>* samples_ns) {
   return stats;
 }
 
+/// Upper median (the element at n / 2 in sorted order); reorders
+/// `values`, which must be non-empty.
+template <typename T>
+T UpperMedian(std::vector<T>* values) {
+  auto mid = values->begin() + static_cast<long>(values->size() / 2);
+  std::nth_element(values->begin(), mid, values->end());
+  return *mid;
+}
+
 obs::JsonValue PathStatsToJson(const PathStats& stats) {
   obs::JsonValue out = obs::JsonValue::Object();
   out.Set("p50_us", obs::JsonValue(stats.p50_us));
@@ -134,7 +143,6 @@ obs::JsonValue ServeBenchReport::ToJson() const {
   out.Set("speedup_batch", obs::JsonValue(batch_speedup));
   out.Set("outputs_identical", obs::JsonValue(outputs_identical));
   obs::JsonValue recorder = obs::JsonValue::Object();
-  recorder.Set("enabled", obs::JsonValue(recorder_enabled));
   recorder.Set("fused_armed_rows_per_s",
                obs::JsonValue(fused_armed_rows_per_s));
   recorder.Set("fused_disarmed_rows_per_s",
@@ -372,24 +380,37 @@ Result<ServeBenchReport> RunServeBench(const ServeBenchOptions& options) {
     }
   }
 
-  // Recorder overhead on the fused path: whole passes re-timed with the
-  // flight recorder armed vs disarmed. Each pass times both arms,
-  // alternating which goes first so the warmer-cache advantage of the
-  // second half doesn't systematically flatter either arm. The gate
-  // consumes the ratio of per-arm *minima* across passes: scheduler
-  // interference only ever adds time, so the minimum of each arm is the
-  // interference-free estimate, where a per-pass ratio would inherit
-  // the noise of whichever pass it came from. With SAFE_TELEMETRY=OFF
-  // both arms run the same no-op code and the gate is skipped
-  // (recorder_enabled = false).
-  report.recorder_enabled = SAFE_TELEMETRY_ENABLED != 0;
+  // Recorder overhead on the fused path, from many short rounds. Each
+  // round takes a slice of kOverheadRoundRows rows, scores it once
+  // untimed (so both timed arms find it in cache), then times it armed
+  // and disarmed, alternating which arm goes first. The gate reads
+  // the median of the per-round armed/disarmed ratios: a preempted or
+  // migrated round moves one ratio, not the estimate, where a ratio of
+  // whole-pass minima follows whichever pass the host disturbed least.
   {
+    constexpr size_t kOverheadRoundRows = 256;
     const bool was_armed = obs::FlightRecorder::armed();
-    const size_t overhead_passes = 2 * std::max<size_t>(opts.repeats, 5);
-    uint64_t armed_min_ns = 0;
-    uint64_t disarmed_min_ns = 0;
-    for (size_t pass = 0; pass < overhead_passes; ++pass) {
-      const bool armed_first = (pass % 2) != 0;
+    const size_t round_rows = std::min(kOverheadRoundRows, rows.size());
+    const size_t slices = rows.size() / round_rows;
+    const size_t rounds = 2 * std::max<size_t>(opts.repeats, 5) * slices;
+    std::vector<double> ratios;
+    std::vector<uint64_t> armed_ns;
+    std::vector<uint64_t> disarmed_ns;
+    ratios.reserve(rounds);
+    armed_ns.reserve(rounds);
+    disarmed_ns.reserve(rounds);
+    auto score_slice = [&](size_t begin) {
+      for (size_t r = begin; r < begin + round_rows; ++r) {
+        const double proba = scorer.ScoreRow(rows[r].data(), &scratch);
+        (void)proba;
+      }
+    };
+    for (size_t round = 0; round < rounds; ++round) {
+      const size_t begin = (round % slices) * round_rows;
+      obs::FlightRecorder::Disarm();
+      score_slice(begin);  // warm, untimed
+      uint64_t elapsed[2] = {0, 0};  // [disarmed, armed]
+      const bool armed_first = (round % 2) != 0;
       for (int half = 0; half < 2; ++half) {
         const bool arm = (half == 0) == armed_first;
         if (arm) {
@@ -398,27 +419,27 @@ Result<ServeBenchReport> RunServeBench(const ServeBenchOptions& options) {
           obs::FlightRecorder::Disarm();
         }
         const uint64_t t0 = NowNs();
-        for (const std::vector<double>& row : rows) {
-          const double proba = scorer.ScoreRow(row.data(), &scratch);
-          (void)proba;
-        }
-        const uint64_t elapsed = NowNs() - t0;
-        uint64_t& best = arm ? armed_min_ns : disarmed_min_ns;
-        if (best == 0 || elapsed < best) best = elapsed;
+        score_slice(begin);
+        elapsed[arm ? 1 : 0] = NowNs() - t0;
       }
+      if (elapsed[0] == 0 || elapsed[1] == 0) continue;
+      disarmed_ns.push_back(elapsed[0]);
+      armed_ns.push_back(elapsed[1]);
+      ratios.push_back(static_cast<double>(elapsed[1]) /
+                       static_cast<double>(elapsed[0]));
     }
-    if (!was_armed) obs::FlightRecorder::Disarm();
-    if (disarmed_min_ns > 0 && armed_min_ns > 0) {
-      report.recorder_overhead_pct =
-          (static_cast<double>(armed_min_ns) /
-               static_cast<double>(disarmed_min_ns) -
-           1.0) *
-          100.0;
-      const double scored = static_cast<double>(rows.size());
+    if (was_armed) {
+      obs::FlightRecorder::Arm();
+    } else {
+      obs::FlightRecorder::Disarm();
+    }
+    if (!ratios.empty()) {
+      report.recorder_overhead_pct = (UpperMedian(&ratios) - 1.0) * 100.0;
+      const double scored = static_cast<double>(round_rows);
       report.fused_armed_rows_per_s =
-          scored / (static_cast<double>(armed_min_ns) / 1e9);
+          scored / (static_cast<double>(UpperMedian(&armed_ns)) / 1e9);
       report.fused_disarmed_rows_per_s =
-          scored / (static_cast<double>(disarmed_min_ns) / 1e9);
+          scored / (static_cast<double>(UpperMedian(&disarmed_ns)) / 1e9);
     }
   }
 

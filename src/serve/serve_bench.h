@@ -110,14 +110,12 @@ struct ServeBenchReport {
   double batch_speedup = 0.0;
   /// Every scored row was bit-identical across naive and fused paths.
   bool outputs_identical = false;
-  /// Whether this binary compiled the flight recorder in
-  /// (SAFE_TELEMETRY=ON); the overhead gate only applies when true.
-  bool recorder_enabled = false;
   /// Fused path re-timed with the flight recorder armed (sampled
-  /// serve.score_row spans) vs disarmed, alternating pass by pass.
+  /// serve.score_row spans) vs disarmed over short rounds of rows,
+  /// alternating which arm goes first; each rate is the median round's.
   double fused_armed_rows_per_s = 0.0;
   double fused_disarmed_rows_per_s = 0.0;
-  /// Median per-pass armed/disarmed time ratio minus one, in percent
+  /// Median per-round armed/disarmed time ratio minus one, in percent
   /// (slightly negative values are timing noise).
   double recorder_overhead_pct = 0.0;
 
@@ -160,8 +158,7 @@ struct ServingGate {
   /// <= 0 disables that check (legacy baselines).
   double min_batch_speedup = 0.0;
   /// Ceiling on recorder_overhead_pct (armed vs disarmed fused path);
-  /// <= 0 disables that check. Only enforced when the binary was built
-  /// with SAFE_TELEMETRY=ON (report.recorder_enabled).
+  /// <= 0 disables that check.
   double max_recorder_overhead_pct = 0.0;
   /// Floor on the open-loop sustained completion rate
   /// (report.server_open.sustained_qps); <= 0 disables that check.

@@ -14,9 +14,10 @@ namespace server {
 
 namespace {
 
-/// Steady-clock nanoseconds. Deliberately not obs::NowNanos(): request
-/// deadlines and latency accounting must keep working in
-/// SAFE_TELEMETRY=OFF builds, where the obs clock stubs to 0.
+/// Steady-clock nanoseconds since the clock's own epoch. Deliberately
+/// not obs::NowNanos(), which counts from the trace epoch: batcher
+/// deadlines are turned back into absolute steady_clock time points for
+/// wait_until (SteadyTimePoint below).
 uint64_t NowSteadyNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

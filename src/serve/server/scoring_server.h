@@ -33,9 +33,10 @@ struct ServerOptions {
   BatcherOptions batcher;
 };
 
-/// \brief Always-on functional counters (plain atomics, independent of
-/// SAFE_TELEMETRY): the no-loss/no-duplication contract is asserted on
-/// these in every build mode.
+/// \brief Functional counters of one server (plain atomics): the
+/// no-loss/no-duplication contract is asserted on these. They belong to
+/// the instance, where the process-wide `serve.server.*` registry series
+/// add up every server in the process.
 struct ServerStats {
   uint64_t accepted_requests = 0;
   uint64_t accepted_rows = 0;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace safe {
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace safe {
 

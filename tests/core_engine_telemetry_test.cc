@@ -6,7 +6,8 @@
 
 #include "src/core/engine.h"
 #include "src/data/synthetic.h"
-#include "src/obs/trace.h"
+#include "src/obs/flight_recorder.h"
+#include "src/obs/report.h"
 
 namespace safe {
 namespace {
@@ -88,13 +89,17 @@ TEST(SafeEngineTelemetryTest, FunnelCountsAreOrdered) {
   }
 }
 
-#if SAFE_TELEMETRY_ENABLED
-
 TEST(SafeEngineTelemetryTest, FitEmitsNestedSpansForEveryStage) {
-  obs::Tracer::Global()->Reset();
+  // Spans come from the flight recorder, which records only while armed.
+  obs::FlightRecorder::Global()->Clear();
+  obs::FlightRecorder::Arm();
   auto result = FitOnce();
+  obs::FlightRecorder::Disarm();
+  obs::RunReport report("core_engine_telemetry_test");
+  report.CaptureTelemetry();
+  obs::FlightRecorder::Global()->Clear();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  std::vector<obs::SpanRecord> spans = obs::Tracer::Global()->Snapshot();
+  const std::vector<obs::SpanRecord>& spans = report.spans();
 
   auto find = [&](const std::string& name) -> const obs::SpanRecord* {
     for (const auto& s : spans) {
@@ -107,6 +112,9 @@ TEST(SafeEngineTelemetryTest, FitEmitsNestedSpansForEveryStage) {
   ASSERT_NE(fit, nullptr);
   ASSERT_NE(iteration, nullptr);
   EXPECT_LT(fit->depth, iteration->depth);
+  EXPECT_GE(iteration->start_ns, fit->start_ns);
+  EXPECT_LE(iteration->start_ns + iteration->duration_ns,
+            fit->start_ns + fit->duration_ns);
 
   const char* kStageSpans[] = {
       "engine.mine_combinations", "engine.generate_features",
@@ -121,10 +129,7 @@ TEST(SafeEngineTelemetryTest, FitEmitsNestedSpansForEveryStage) {
     EXPECT_LE(stage->start_ns + stage->duration_ns,
               iteration->start_ns + iteration->duration_ns);
   }
-  obs::Tracer::Global()->Reset();
 }
-
-#endif  // SAFE_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace safe

@@ -162,8 +162,7 @@ TEST(JsonParseTest, ObjectOrderSurvivesAndMattersForEquality) {
   EXPECT_EQ(ba.members()[0].first, "b");
 }
 
-// --- Trace-document round trip (export path is ungated, so this runs
-// in telemetry-off builds too) ---
+// --- Trace-document round trip through the parser ---
 
 TEST(JsonParseTest, ChromeTraceDocumentRoundTrips) {
   ThreadTimeline timeline;

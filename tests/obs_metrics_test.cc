@@ -11,8 +11,6 @@ namespace safe {
 namespace obs {
 namespace {
 
-#if SAFE_TELEMETRY_ENABLED
-
 TEST(MetricsRegistryTest, CounterGaugeHistogramRegistration) {
   MetricsRegistry registry;
   Counter* counter = registry.counter("test.counter");
@@ -105,21 +103,6 @@ TEST(MetricsRegistryTest, GlobalRegistryIsSingleton) {
   c->Increment();
   EXPECT_EQ(c->value(), before + 1);
 }
-
-#else  // !SAFE_TELEMETRY_ENABLED
-
-TEST(MetricsRegistryTest, DisabledStubsAreNoOps) {
-  MetricsRegistry* registry = MetricsRegistry::Global();
-  Counter* counter = registry->counter("test.counter");
-  counter->Increment(123);
-  EXPECT_EQ(counter->value(), 0u);
-  MetricsSnapshot snap = registry->Snapshot();
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.gauges.empty());
-  EXPECT_TRUE(snap.histograms.empty());
-}
-
-#endif  // SAFE_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace obs

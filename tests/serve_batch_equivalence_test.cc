@@ -361,7 +361,6 @@ TEST(BatchEquivalenceTest, ConcurrentBatchCallersStayBitIdentical) {
   }
 }
 
-#if SAFE_TELEMETRY_ENABLED
 /// ScoreBatch must record into serve.batch_latency_us / serve.batch_rows
 /// only, and per-row Score into serve.latency_us only — the two series
 /// stay disjoint so batch totals never pollute the per-row distribution
@@ -443,7 +442,6 @@ TEST(ServeBenchTest, BatchAndPerRowTelemetrySeriesStayDisjoint) {
   EXPECT_EQ(rows_after.sum - rows_before.sum,
             static_cast<double>(total_rows));
 }
-#endif  // SAFE_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace safe

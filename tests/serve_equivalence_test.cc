@@ -290,7 +290,6 @@ void CheckFusedPipeline(uint64_t seed) {
         << "batch row " << r;
   }
 
-#if SAFE_TELEMETRY_ENABLED
   // ScoreBatch must surface its batch shape in telemetry: the
   // serve.batch_rows and serve.batch_latency_us histograms land in the
   // global registry, so any RunReport (including the bench harness's)
@@ -306,7 +305,6 @@ void CheckFusedPipeline(uint64_t seed) {
   ASSERT_NE(histograms, nullptr);
   EXPECT_NE(histograms->Find("serve.batch_rows"), nullptr);
   EXPECT_NE(histograms->Find("serve.batch_latency_us"), nullptr);
-#endif
 }
 
 TEST(RowScorerTest, FusedPipelineMatchesNaiveOnPropertyDatasets) {

@@ -3,9 +3,8 @@
 // counters on overflow, armed/disarmed macro behaviour, sampling-rate
 // exactness, thread-pool worker labeling, and Chrome-trace export that
 // parses back through obs::JsonValue with well-nested B/E pairs per
-// track. The exporter tests on hand-built timelines run in both
-// telemetry modes; everything touching the real recorder is gated on
-// SAFE_TELEMETRY_ENABLED, with a stub-contract suite for OFF builds.
+// track. The exporter tests run on hand-built timelines; the rest drive
+// the real recorder.
 
 #include "src/obs/flight_recorder.h"
 
@@ -79,8 +78,7 @@ std::map<uint64_t, size_t> CheckWellNested(const JsonValue& doc) {
   return completed;
 }
 
-// --- Exporter on hand-built timelines: valid in BOTH telemetry modes
-// (ThreadTimeline and ChromeTraceJson are never stubbed out). ---
+// --- Exporter on hand-built timelines ---
 
 TEST(ChromeTraceExportTest, HandBuiltTimelineRoundTripsThroughJsonParse) {
   ThreadTimeline timeline;
@@ -191,8 +189,6 @@ TEST(ChromeTraceExportTest, SummaryTotalsEventsAndDrops) {
   EXPECT_EQ(threads->items()[0].Find("label")->string_value(), "main");
   EXPECT_EQ(threads->items()[1].Find("label")->string_value(), "thread1");
 }
-
-#if SAFE_TELEMETRY_ENABLED
 
 TEST(FlightRecorderTest, EightThreadsRecordWithoutLossBelowCapacity) {
   FlightRecorder recorder(/*events_per_thread=*/4096);
@@ -431,45 +427,6 @@ TEST(FlightRecorderTest, WriteChromeTraceProducesParseableFile) {
   EXPECT_NE(parsed.Find("traceEvents"), nullptr);
   std::remove(path.c_str());
 }
-
-#else  // !SAFE_TELEMETRY_ENABLED — the stubs must stay inert but usable.
-
-TEST(FlightRecorderStubTest, ArmedStaysFalseAndSnapshotStaysEmpty) {
-  FlightRecorder::Arm();
-  EXPECT_FALSE(FlightRecorder::armed());
-  FlightRecorder* global = FlightRecorder::Global();
-  global->SetCurrentThreadLabel("main");
-  global->RecordInstant("evt");
-  global->RecordCounter("evt", 1.0);
-  {
-    SAFE_FR_SCOPE("stub.scope");
-    SAFE_FR_SAMPLED_SCOPE("stub.sampled", 64);
-    SAFE_FR_INSTANT("stub.instant");
-    SAFE_FR_COUNTER("stub.counter", 2.0);
-  }
-  EXPECT_TRUE(global->Snapshot().empty());
-  EXPECT_EQ(global->events_per_thread(), 0u);
-  FlightRecorder::Disarm();
-}
-
-TEST(FlightRecorderStubTest, WriteChromeTraceEmitsValidEmptyDocument) {
-  const std::string path =
-      ::testing::TempDir() + "/trace_recorder_stub_trace.json";
-  std::string error;
-  ASSERT_TRUE(WriteChromeTrace(path, &error)) << error;
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream contents;
-  contents << in.rdbuf();
-  JsonValue parsed;
-  ASSERT_TRUE(JsonValue::Parse(contents.str(), &parsed, &error)) << error;
-  const JsonValue* events = parsed.Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  EXPECT_TRUE(events->items().empty());
-  std::remove(path.c_str());
-}
-
-#endif  // SAFE_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace obs

@@ -24,9 +24,11 @@
 // Every subcommand accepts --report=<path>: at exit the telemetry run
 // report (metrics, trace spans, and — for fit/demo — the per-iteration
 // funnel diagnostics) is written there as JSON and a summary table is
-// printed (see DESIGN.md "Observability"). --trace=<path> likewise arms
-// the flight recorder for the run and drains every thread's event
-// timeline to that path (DESIGN.md "Flight recorder").
+// printed (see DESIGN.md "Observability"). --trace=<path> arms the
+// flight recorder for the run and drains every thread's event timeline
+// to that path (DESIGN.md "Flight recorder"); the report's spans come
+// from that recording, so they are empty unless --trace (or the trace
+// subcommand) armed it.
 //
 // Exit code 0 on success; errors print the Status message to stderr.
 
@@ -221,9 +223,6 @@ int RunTrace(const bench::Flags& flags) {
   const std::string out_path = flags.GetString("out", "trace.json");
   std::string error;
   if (!obs::WriteChromeTrace(out_path, &error)) return Fail(error);
-#if !SAFE_TELEMETRY_ENABLED
-  std::cout << "note: SAFE_TELEMETRY=OFF build — the trace is empty\n";
-#endif
   std::cout << "trace written to " << out_path
             << " (load in chrome://tracing or ui.perfetto.dev)\n";
   return 0;

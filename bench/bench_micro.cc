@@ -12,6 +12,7 @@
 #include "src/dataframe/binning.h"
 #include "src/gbdt/booster.h"
 #include "src/gbdt/forest_layout.h"
+#include "src/serve/batch_scorer.h"
 #include "src/stats/auc.h"
 #include "src/stats/correlation.h"
 #include "src/stats/entropy.h"
@@ -227,6 +228,78 @@ void BM_ForestMargins(benchmark::State& state) {
                           static_cast<int64_t>(rows));
 }
 BENCHMARK(BM_ForestMargins)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(128);
+
+/// A fitted SAFE plan and GBDT on bench_serving's default workload (24
+/// input features, 1000 training rows) as a BatchScorer, plus 128 of
+/// its scoring rows.
+struct BlockScorerFixture {
+  static constexpr size_t kRows = 128;
+  serve::BatchScorer scorer;
+  std::vector<std::vector<double>> rows;
+};
+
+const BlockScorerFixture& ServingScorer() {
+  static const BlockScorerFixture fixture = [] {
+    data::SyntheticSpec spec;
+    spec.num_rows = 1000;
+    spec.num_features = 24;
+    spec.num_informative = 12;
+    spec.num_interactions = 3;
+    spec.seed = 42;
+    auto data = data::MakeSyntheticDataset(spec);
+    SAFE_CHECK(data.ok());
+    SafeParams params;
+    params.seed = spec.seed;
+    auto fit = SafeEngine(params).Fit(*data);
+    SAFE_CHECK(fit.ok());
+    auto engineered = fit->plan.Transform(data->x);
+    SAFE_CHECK(engineered.ok());
+    gbdt::GbdtParams gbdt_params;
+    gbdt_params.seed = spec.seed;
+    Dataset engineered_train{*std::move(engineered), data->y};
+    auto booster = gbdt::Booster::Fit(engineered_train, nullptr, gbdt_params);
+    SAFE_CHECK(booster.ok());
+    auto scorer = serve::BatchScorer::Create(fit->plan, *booster);
+    SAFE_CHECK(scorer.ok());
+    BlockScorerFixture out;
+    out.scorer = *std::move(scorer);
+    for (size_t r = 0; r < BlockScorerFixture::kRows; ++r) {
+      out.rows.push_back(data->x.Row(r));
+    }
+    return out;
+  }();
+  return fixture;
+}
+
+// BatchScorer::ScoreBlockPtrs, the scoring server's path, at the cut
+// widths it sees: one request (every cut at light load), a few, and
+// full blocks. Each iteration scores the fixture's 128 rows in cuts of
+// `rows`, so rows/s compare across widths.
+void BM_ScoreBlockPtrs(benchmark::State& state) {
+  const size_t width = static_cast<size_t>(state.range(0));
+  const BlockScorerFixture& fixture = ServingScorer();
+  constexpr size_t kRows = BlockScorerFixture::kRows;
+  std::vector<const double*> ptrs;
+  for (const std::vector<double>& row : fixture.rows) {
+    ptrs.push_back(row.data());
+  }
+  serve::BatchScorer::Scratch scratch = fixture.scorer.MakeScratch();
+  std::vector<double> out(kRows, 0.0);
+  size_t rows = 0;
+  for (auto _ : state) {
+    rows = 0;
+    for (size_t base = 0; base + width <= kRows; base += width) {
+      fixture.scorer.ScoreBlockPtrs(ptrs.data() + base, width, &scratch,
+                                    out.data() + base);
+      rows += width;
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_ScoreBlockPtrs)->Arg(1)->Arg(2)->Arg(4)->Arg(64)->Arg(128);
 
 void BM_MineAndRankCombinations(benchmark::State& state) {
   Dataset data = MicroDataset(4000, 12);

@@ -19,15 +19,15 @@
 // with a closed-loop and an open-loop load generator (arrivals on a
 // fixed grid at --open-qps; latency measured from the scheduled
 // arrival, so backlog shows up in the tail). Server responses are
-// verified bit-identical to the fused per-row path before timing, and a
+// verified bit-identical to the fused per-row path before timing. A
 // "min_sustained_qps" key in the gate file puts a floor under the
-// open-loop completion rate.
+// open-loop completion rate, and "max_open_loop_p50_us" a ceiling on
+// the open-loop median latency.
 //
 // Flags: --quick --train_rows=N --features=M --rows=N --repeats=K
 //        --batch=B --seed=S --out=BENCH_serving.json
 //        --gate=bench/baselines/serving.json --report=path --trace=path
-//        --server-shards=S --clients=C --server-queue=N
-//        --batch-rows=B --batch-wait-us=T
+//        --server-shards=S --clients=C --server-queue=N --batch-rows=B
 //        --closed-requests=N --open-requests=N --open-qps=Q
 
 #include <fstream>
@@ -73,8 +73,6 @@ int Main(int argc, char** argv) {
       "server-queue", static_cast<int64_t>(load.queue_capacity)));
   load.max_batch_rows = static_cast<size_t>(flags.GetInt(
       "batch-rows", static_cast<int64_t>(load.max_batch_rows)));
-  load.max_wait_us = static_cast<uint64_t>(flags.GetInt(
-      "batch-wait-us", static_cast<int64_t>(load.max_wait_us)));
   load.closed_requests_per_client = static_cast<size_t>(flags.GetInt(
       "closed-requests",
       static_cast<int64_t>(load.closed_requests_per_client)));
@@ -133,8 +131,7 @@ int Main(int argc, char** argv) {
 
   std::cout << "\n=== Scoring server: " << report->server_shards
             << " shards, " << report->server_clients << " clients, B="
-            << report->server_batch_rows << " rows, T="
-            << report->server_batch_wait_us << "us ===\n";
+            << report->server_batch_rows << " rows ===\n";
   std::cout << "bit-identical server responses: "
             << (report->server_outputs_identical ? "yes" : "NO")
             << ", mean batch fill "
@@ -233,6 +230,20 @@ int Main(int argc, char** argv) {
                 << FormatDouble(report->server_open.sustained_qps, 0)
                 << " qps >= "
                 << FormatDouble(gate->min_sustained_qps, 0) << " qps ("
+                << gate_path << ")\n";
+    }
+    if (gate->max_open_loop_p50_us > 0.0) {
+      if (report->server_open.p50_us > gate->max_open_loop_p50_us) {
+        std::cerr << "bench_serving: GATE FAILED — open-loop p50 "
+                  << FormatDouble(report->server_open.p50_us, 2)
+                  << " us exceeds the "
+                  << FormatDouble(gate->max_open_loop_p50_us, 2)
+                  << " us ceiling from '" << gate_path << "'\n";
+        return 1;
+      }
+      std::cout << "gate ok: open-loop p50 "
+                << FormatDouble(report->server_open.p50_us, 2) << " us <= "
+                << FormatDouble(gate->max_open_loop_p50_us, 2) << " us ("
                 << gate_path << ")\n";
     }
   }

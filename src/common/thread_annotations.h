@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -109,9 +108,9 @@ class SCOPED_CAPABILITY MutexLock {
 
 /// \brief Condition variable over safe::Mutex.
 ///
-/// Wait/WaitUntil REQUIRES the mutex so the analysis checks every wait
-/// site holds the lock it re-checks its predicate under. Callers must
-/// loop on the predicate themselves:
+/// Wait REQUIRES the mutex so the analysis checks every wait site holds
+/// the lock it re-checks its predicate under. Callers must loop on the
+/// predicate themselves:
 ///
 ///   MutexLock lock(mu_);
 ///   while (!ready_) cv_.Wait(mu_);
@@ -137,16 +136,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.native_handle(), std::adopt_lock);
     cv_.wait(lock);  // lint: bare-wait-ok(CondVar::Wait is the annotated primitive; every caller loops on its predicate under REQUIRES(mu), enforced by SL007 at the call sites)
     lock.release();
-  }
-
-  /// Timed Wait: returns cv_status::timeout when `deadline` passed.
-  std::cv_status WaitUntil(
-      Mutex& mu,
-      std::chrono::steady_clock::time_point deadline) REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.native_handle(), std::adopt_lock);
-    const std::cv_status status = cv_.wait_until(lock, deadline);
-    lock.release();
-    return status;
   }
 
   void NotifyOne() { cv_.notify_one(); }

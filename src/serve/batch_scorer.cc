@@ -72,12 +72,15 @@ void BatchScorer::ScoreBlock(const std::vector<std::vector<double>>& rows,
 
 void BatchScorer::ScoreBlockMarginPtrs(const double* const* rows, size_t n,
                                        Scratch* scratch, double* out) const {
+  // Panel stride n, not kBlockRows: a server cut is often one or a few
+  // rows, and a compact panel keeps a lone row's slots adjacent (at
+  // n == 1, RowScorer's slot layout) instead of kBlockRows lanes apart.
   double* panels = scratch->panels.data();
-  GatherBlockPtrs(rows, n, plan_.num_inputs(), kBlockRows, panels);
-  plan_.ExecuteBlock(panels, kBlockRows, n);
+  GatherBlockPtrs(rows, n, plan_.num_inputs(), n, panels);
+  plan_.ExecuteBlock(panels, n, n);
   double* margins = scratch->margins.data();
   for (size_t i = 0; i < n; ++i) margins[i] = base_score_;
-  forest_.AccumulateMargins(panels, kBlockRows, n, margins);
+  forest_.AccumulateMargins(panels, n, n, margins);
   for (size_t i = 0; i < n; ++i) out[i] = margins[i];
 }
 

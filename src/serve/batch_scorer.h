@@ -83,10 +83,11 @@ class BatchScorer {
                         double* out) const;
 
   /// Same allocation-free core over an array of row pointers (each row
-  /// `num_inputs()` doubles): the scoring server's micro-batcher stages
-  /// requests as pointers into caller memory and scores them without an
-  /// intermediate copy. Bit-identical to the vector overloads (same
-  /// gather/execute/traverse pipeline over the same panel).
+  /// `num_inputs()` doubles): the scoring server stages requests as
+  /// pointers into caller memory and scores them without an intermediate
+  /// copy. The panel's stride is n rather than kBlockRows, so a small
+  /// cut is scored compactly. Bit-identical to the vector overloads
+  /// (same gather/execute/traverse pipeline, lane by lane).
   void ScoreBlockPtrs(const double* const* rows, size_t n, Scratch* scratch,
                       double* out) const;
   void ScoreBlockMarginPtrs(const double* const* rows, size_t n,

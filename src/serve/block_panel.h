@@ -24,7 +24,7 @@ void GatherBlock(const std::vector<std::vector<double>>& rows, size_t begin,
 
 /// Same transpose over an array of row pointers instead of owned row
 /// vectors — the scoring server stages requests as pointers into caller
-/// memory, so micro-batches are gathered without copying rows first.
+/// memory, so a cut is gathered without copying rows first.
 /// `rows[0..n)` must each point at `width` doubles.
 void GatherBlockPtrs(const double* const* rows, size_t n, size_t width,
                      size_t stride, double* panel);

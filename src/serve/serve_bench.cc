@@ -155,8 +155,6 @@ obs::JsonValue ServeBenchReport::ToJson() const {
   server_config.Set("clients", obs::JsonValue(uint64_t{server_clients}));
   server_config.Set("max_batch_rows",
                     obs::JsonValue(uint64_t{server_batch_rows}));
-  server_config.Set("max_wait_us",
-                    obs::JsonValue(uint64_t{server_batch_wait_us}));
   server_json.Set("config", std::move(server_config));
   server_json.Set("outputs_identical",
                   obs::JsonValue(server_outputs_identical));
@@ -448,15 +446,13 @@ Result<ServeBenchReport> RunServeBench(const ServeBenchOptions& options) {
     server::ServerOptions server_options;
     server_options.num_shards = opts.server.num_shards;
     server_options.queue_capacity = opts.server.queue_capacity;
-    server_options.batcher.max_batch_rows = opts.server.max_batch_rows;
-    server_options.batcher.max_wait_us = opts.server.max_wait_us;
+    server_options.max_batch_rows = opts.server.max_batch_rows;
     SAFE_ASSIGN_OR_RETURN(
         std::unique_ptr<server::ScoringServer> scoring_server,
         server::ScoringServer::Create(plan, booster, server_options));
     report.server_shards = scoring_server->num_shards();
     report.server_clients = opts.server.client_threads;
     report.server_batch_rows = opts.server.max_batch_rows;
-    report.server_batch_wait_us = opts.server.max_wait_us;
     report.server_open_target_qps = opts.server.open_target_qps;
 
     // Server equivalence before any timing: mixed single-row and batch
@@ -671,6 +667,15 @@ Result<ServingGate> ReadServingGate(const std::string& baseline_path) {
                                      "': min_sustained_qps must be a number");
     }
     gate.min_sustained_qps = qps->number_value();
+  }
+  const obs::JsonValue* open_p50 = doc.Find("max_open_loop_p50_us");
+  if (open_p50 != nullptr) {
+    if (open_p50->type() != obs::JsonValue::Type::kNumber) {
+      return Status::InvalidArgument(
+          "gate baseline '" + baseline_path +
+          "': max_open_loop_p50_us must be a number");
+    }
+    gate.max_open_loop_p50_us = open_p50->number_value();
   }
   return gate;
 }

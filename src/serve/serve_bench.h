@@ -16,9 +16,8 @@ struct ServerLoadOptions {
   size_t num_shards = 2;
   /// Per-shard queue bound in requests (admission control).
   size_t queue_capacity = 1024;
-  /// Micro-batcher B (rows) and T (microseconds).
+  /// Most rows per server cut (ServerOptions::max_batch_rows).
   size_t max_batch_rows = 64;
-  uint64_t max_wait_us = 100;
   /// Concurrent client threads in both loop modes.
   size_t client_threads = 4;
   /// Closed loop: requests each client issues back-to-back (one
@@ -124,7 +123,6 @@ struct ServeBenchReport {
   size_t server_shards = 0;
   size_t server_clients = 0;
   size_t server_batch_rows = 0;
-  uint64_t server_batch_wait_us = 0;
   /// Every server response (mixed single-row and batch requests) was
   /// bit-identical to the fused per-row path. The run aborts when not.
   bool server_outputs_identical = false;
@@ -135,7 +133,7 @@ struct ServeBenchReport {
   /// overload is included (the honest tail).
   ServerLoadStats server_open;
   double server_open_target_qps = 0.0;
-  /// Mean rows per micro-batch cut across both loops (server stats).
+  /// Mean rows per server cut across both loops (server stats).
   double server_mean_batch_fill = 0.0;
 
   /// Serializes to the BENCH_serving.json schema.
@@ -163,11 +161,15 @@ struct ServingGate {
   /// Floor on the open-loop sustained completion rate
   /// (report.server_open.sustained_qps); <= 0 disables that check.
   double min_sustained_qps = 0.0;
+  /// Ceiling on the open-loop median latency
+  /// (report.server_open.p50_us); <= 0 disables that check.
+  double max_open_loop_p50_us = 0.0;
 };
 
 /// Reads the committed gate file: "min_speedup" (required), plus
-/// "min_batch_speedup", "max_recorder_overhead_pct" and
-/// "min_sustained_qps" (all optional, default 0 = disabled).
+/// "min_batch_speedup", "max_recorder_overhead_pct",
+/// "min_sustained_qps" and "max_open_loop_p50_us" (all optional,
+/// default 0 = disabled).
 [[nodiscard]] Result<ServingGate> ReadServingGate(
     const std::string& baseline_path);
 

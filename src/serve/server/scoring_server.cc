@@ -14,27 +14,6 @@ namespace server {
 
 namespace {
 
-/// Steady-clock nanoseconds since the clock's own epoch. Deliberately
-/// not obs::NowNanos(), which counts from the trace epoch: batcher
-/// deadlines are turned back into absolute steady_clock time points for
-/// wait_until (SteadyTimePoint below).
-uint64_t NowSteadyNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-std::chrono::steady_clock::time_point SteadyTimePoint(uint64_t ns) {
-  // Round UP to the clock's granularity: truncating would produce a
-  // time_point just before the batcher deadline, making wait_until wake
-  // early and the loop re-wait on the same truncated point (a brief
-  // busy-spin on platforms where steady_clock is coarser than 1ns).
-  return std::chrono::steady_clock::time_point(
-      std::chrono::ceil<std::chrono::steady_clock::duration>(
-          std::chrono::nanoseconds(ns)));
-}
-
 std::vector<double> PowerOfTwoBuckets(double max_bound) {
   std::vector<double> bounds;
   for (double b = 1.0; b <= max_bound; b *= 2.0) bounds.push_back(b);
@@ -50,7 +29,7 @@ struct ServerMetrics {
   obs::Counter* rejected;
   obs::Counter* batches;
   obs::Histogram* latency_us;   // request enqueue -> completion
-  obs::Histogram* batch_fill;   // rows per micro-batch cut
+  obs::Histogram* batch_fill;   // rows per cut
   obs::Histogram* queue_depth;  // shard backlog sampled at each cut
 
   static const ServerMetrics& Get() {
@@ -78,7 +57,7 @@ Result<std::unique_ptr<ScoringServer>> ScoringServer::Create(
     const FeaturePlan& plan, const gbdt::Booster& booster,
     const ServerOptions& options) {
   if (options.num_shards == 0 || options.queue_capacity == 0 ||
-      options.batcher.max_batch_rows == 0) {
+      options.max_batch_rows == 0) {
     return Status::InvalidArgument(
         "scoring server: num_shards, queue_capacity and max_batch_rows "
         "must all be > 0");
@@ -194,7 +173,7 @@ Status ScoringServer::Submit(uint64_t route_key, const double* const* rows,
   request.out = out;
   request.num_rows = num_rows;
   request.sync = &sync;
-  request.enqueue_ns = NowSteadyNs();
+  request.enqueue_ns = obs::NowNanos();
   const bool pushed = shard.queue.TryPush(request);
   // lint: mo-ok(release pairs with Stop's acquire poll: the push outcome is settled before Stop may close the queues)
   in_flight_.fetch_sub(1, std::memory_order_release);
@@ -292,8 +271,8 @@ void ScoringServer::CutBatch(Shard* shard, std::vector<Request>* staged,
   SAFE_FR_SCOPE("serve.server.batch");
   // Flatten the staged requests' row pointers; scoring runs in
   // kBlockRows blocks, so a cut larger than one block (a multi-row
-  // request straddling B) costs extra blocks, never extra allocation in
-  // steady state.
+  // request straddling max_batch_rows) costs extra blocks, never extra
+  // allocation in steady state.
   row_ptrs->clear();
   for (const Request& request : *staged) {
     for (size_t i = 0; i < request.num_rows; ++i) {
@@ -308,7 +287,7 @@ void ScoringServer::CutBatch(Shard* shard, std::vector<Request>* staged,
                                  outs->data() + begin);
   }
 
-  const uint64_t done_ns = NowSteadyNs();
+  const uint64_t done_ns = obs::NowNanos();
   const ServerMetrics& metrics = ServerMetrics::Get();
   size_t offset = 0;
   for (const Request& request : *staged) {
@@ -351,23 +330,20 @@ void ScoringServer::ShardLoop(Shard* shard) {
   obs::FlightRecorder::Global()->SetCurrentThreadLabel(
       "server.shard" + std::to_string(shard_index));
 
-  const MicroBatcher batcher(options_.batcher);
   std::vector<Request> staged;
   size_t staged_rows = 0;
-  uint64_t oldest_ns = 0;
   std::vector<const double*> row_ptrs;
   std::vector<double> outs;
   BatchScorer::Scratch scratch = shard->scorer.MakeScratch();
 
   for (;;) {
-    // Drain the queue into staging until the row trigger is reached or
-    // the queue is momentarily empty. SizeApprox counts claimed slots,
-    // so a producer mid-push (claimed, not yet published) makes us spin
-    // briefly instead of mistaking the queue for empty.
-    while (staged_rows < options_.batcher.max_batch_rows) {
+    // Cut on drain: stage whatever is queued, up to max_batch_rows rows.
+    // SizeApprox counts claimed slots, so a producer mid-push (claimed,
+    // not yet published) makes us yield briefly instead of mistaking the
+    // queue for empty.
+    while (staged_rows < options_.max_batch_rows) {
       Request request;
       if (shard->queue.TryPop(&request)) {
-        if (staged.empty()) oldest_ns = request.enqueue_ns;
         staged.push_back(request);
         staged_rows += request.num_rows;
         continue;
@@ -376,30 +352,26 @@ void ScoringServer::ShardLoop(Shard* shard) {
       std::this_thread::yield();
     }
 
-    // lint: mo-ok(acquire pairs with Stop's seq_cst store; only the flag itself is consumed here)
-    const bool closing = stopping_.load(std::memory_order_acquire);
-    const MicroBatcher::Decision decision =
-        batcher.Decide(staged_rows, oldest_ns, NowSteadyNs(), closing);
-    if (decision.action == MicroBatcher::Action::kCut) {
+    // Score what was staged at once: no request waits for co-riders, so
+    // batches form only from a backlog queued while this worker was
+    // busy. This is also the flush-on-close: Stop's drain cuts here.
+    if (!staged.empty()) {
       CutBatch(shard, &staged, staged_rows, &row_ptrs, &outs, &scratch);
       staged.clear();
       staged_rows = 0;
       continue;
     }
 
-    // kWait. Shutdown exit: keyed off queue.closed(), NOT stopping_.
+    // Shutdown exit: keyed off queue.closed(), NOT stopping_.
     // Stop() sets stopping_ BEFORE waiting for in_flight_ submissions to
     // drain, so a racing Submit that passed its stopping check may still
     // push after stopping_ becomes visible here; exiting on stopping_
     // could strand that request (its caller would block forever). The
     // queue closes only after in_flight_ reaches zero, so once closed()
     // is true and the queue is drained, no further push can succeed and
-    // it is safe to exit. stopping_ (`closing`) is used only for the
-    // batcher's flush-on-close cut decision above.
-    if (shard->queue.closed() && staged.empty() &&
-        shard->queue.SizeApprox() == 0) {
-      break;
-    }
+    // it is safe to exit. stopping_ only keeps the worker from parking
+    // below while Stop is under way.
+    if (shard->queue.closed() && shard->queue.SizeApprox() == 0) break;
 
     MutexLock lock(shard->mutex);
     // lint: mo-ok(seq_cst, not weaker: the store must order before the SizeApprox below against a producer's TryPush CAS / waiting-load pair)
@@ -409,20 +381,9 @@ void ScoringServer::ShardLoop(Shard* shard) {
     // (seq_cst) to be visible to SizeApprox, so re-evaluating the
     // predicate before every wait makes a lost or spurious wakeup
     // harmless.
-    if (decision.has_deadline) {
-      // Timed park: a single pass — on wakeup (signal, timeout or
-      // spurious) control returns to the batcher, which re-decides
-      // against the clock rather than re-arming the same deadline.
-      if (shard->queue.SizeApprox() == 0 &&
-          !stopping_.load(std::memory_order_acquire)) {  // lint: mo-ok(acquire flag read; see `closing` above)
-        shard->cv.WaitUntil(shard->mutex,
-                            SteadyTimePoint(decision.deadline_ns));
-      }
-    } else {
-      while (shard->queue.SizeApprox() == 0 &&
-             !stopping_.load(std::memory_order_acquire)) {  // lint: mo-ok(acquire flag read; see `closing` above)
-        shard->cv.Wait(shard->mutex);
-      }
+    while (shard->queue.SizeApprox() == 0 &&
+           !stopping_.load(std::memory_order_acquire)) {  // lint: mo-ok(acquire pairs with Stop's seq_cst store; only the flag itself is consumed here)
+      shard->cv.Wait(shard->mutex);
     }
     // lint: mo-ok(relaxed un-park: producers that read a stale true only take one spurious notify)
     shard->waiting.store(false, std::memory_order_relaxed);

@@ -13,7 +13,6 @@
 #include "src/core/feature_plan.h"
 #include "src/gbdt/booster.h"
 #include "src/serve/batch_scorer.h"
-#include "src/serve/server/micro_batcher.h"
 
 namespace safe {
 namespace serve {
@@ -29,8 +28,13 @@ struct ServerOptions {
   /// one slot). A full queue rejects — admission control, not blocking.
   /// Rounded up to a power of two by the queue.
   size_t queue_capacity = 1024;
-  /// Dynamic micro-batching policy (B rows / T microseconds).
-  BatcherOptions batcher;
+  /// Most rows one cut takes off a shard's queue. A worker scores
+  /// whatever is queued as soon as it is free, so this only matters
+  /// under a backlog: it bounds staging and how long the first request
+  /// of a backlog waits for the rest. A multi-row request that straddles
+  /// it still travels whole (the scorer splits a cut into kBlockRows
+  /// blocks), so it moves batching granularity, never results.
+  size_t max_batch_rows = 64;
 };
 
 /// \brief Functional counters of one server (plain atomics): the
@@ -52,16 +56,19 @@ struct ServerStats {
 /// Architecture (client thread -> response):
 ///
 ///   Score()/ScoreBatch() --TryPush--> shard MPSC queue --drain--> worker
-///     worker stages requests, MicroBatcher decides the cut (B rows or
-///     T us past the oldest pending row), BatchScorer::ScoreBlockPtrs
-///     scores the staged row pointers in kBlockRows blocks, the worker
-///     writes each request's output slots and rings its completion sync.
+///     cut on drain: the worker pops whatever is queued (up to
+///     max_batch_rows rows) and scores it at once, so no request waits
+///     for co-riders; batches form only from a backlog that built up
+///     while the worker was busy. BatchScorer::ScoreBlockPtrs scores the
+///     staged row pointers in kBlockRows blocks, the worker writes each
+///     request's output slots and rings its completion sync, and it
+///     parks on the doorbell only when its queue is empty.
 ///
 /// Contracts:
 ///   - Determinism: every response is bit-identical to calling
-///     RowScorer::Score on the same row, for any shard count, batcher
-///     setting, arrival interleaving, or batch cut points — micro-batch
-///     composition is invisible in the outputs (serve_server_test,
+///     RowScorer::Score on the same row, for any shard count,
+///     max_batch_rows, arrival interleaving, or batch cut points —
+///     batch composition is invisible in the outputs (serve_server_test,
 ///     DESIGN.md "Vectorized batch execution" output contract).
 ///   - Backpressure: when a shard queue is full (or the server is
 ///     stopping) submission fails fast with StatusCode::kUnavailable;
@@ -163,7 +170,7 @@ class ScoringServer {
   [[nodiscard]] Status Submit(uint64_t route_key, const double* const* rows,
                               size_t num_rows, double* out) const;
   void ShardLoop(Shard* shard);
-  /// Scores and completes the staged requests (one micro-batch cut).
+  /// Scores and completes the staged requests (one cut).
   void CutBatch(Shard* shard, std::vector<Request>* staged, size_t staged_rows,
                 std::vector<const double*>* row_ptrs,
                 std::vector<double>* outs, BatchScorer::Scratch* scratch);

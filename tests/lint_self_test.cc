@@ -155,9 +155,8 @@ TEST(UnorderedRule, ServerSubtreeInheritsTheServeScan) {
       index);
   ASSERT_EQ(Rules(findings), std::vector<std::string>({"SL002"}));
   EXPECT_EQ(findings[0].line, 1u);
-  // SL001 applies there too: the server must take time from the injected
-  // clock path, never raw wall-clock calls.
-  const auto entropy = AnalyzeSource("src/serve/server/micro_batcher.cc",
+  // SL001 applies there too: the server never reads raw wall-clock time.
+  const auto entropy = AnalyzeSource("src/serve/server/scoring_server.cc",
                                      "long t = time(nullptr);\n", index);
   ASSERT_EQ(Rules(entropy), std::vector<std::string>({"SL001"}));
 }

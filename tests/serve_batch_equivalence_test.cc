@@ -222,7 +222,10 @@ TEST(BatchEquivalenceTest, PropertyDatasetsAreBitIdenticalAcrossBatchSizes) {
 /// Depth-8 trees: some exceed the forest's 64-leaf bitvector limit, so
 /// the stepped layout — the single-row walk at n == 1, lane-parallel in
 /// blocks — is checked against the interpreted path at every block
-/// boundary, on a NaN-bearing property dataset.
+/// boundary, on a NaN-bearing property dataset. The scoring server's
+/// pointer path, whose panel stride is the cut's own row count, is
+/// checked the same way at small and full widths over one reused
+/// scratch.
 TEST(BatchEquivalenceTest, DeepTreesAreBitIdenticalToInterpreter) {
   const uint64_t seed = 3;
   Dataset data = testutil::MakePropertyDataset(seed);
@@ -271,6 +274,24 @@ TEST(BatchEquivalenceTest, DeepTreesAreBitIdenticalToInterpreter) {
     ASSERT_EQ(out.size(), size);
     for (size_t r = 0; r < size; ++r) {
       EXPECT_TRUE(SameBits(expected[r], out[r])) << "row " << r;
+    }
+  }
+
+  const serve::BatchScorer& batch = scorer->batch();
+  serve::BatchScorer::Scratch scratch = batch.MakeScratch();
+  std::vector<const double*> ptrs;
+  for (const std::vector<double>& row : rows) ptrs.push_back(row.data());
+  // Narrow to wide, then wide to narrow: a cut must not read lanes a
+  // wider earlier cut left in the scratch.
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{3}, kB - 1, kB,
+                         kB - 1, size_t{3}, size_t{2}, size_t{1}}) {
+    SCOPED_TRACE("ScoreBlockPtrs n=" + std::to_string(n));
+    // Start each cut at a different row, so every width sees new rows.
+    const size_t begin = (n * 7) % (rows.size() - n + 1);
+    std::vector<double> out(n, -1.0);
+    batch.ScoreBlockPtrs(ptrs.data() + begin, n, &scratch, out.data());
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(SameBits(expected[begin + i], out[i])) << "row " << begin + i;
     }
   }
 }

@@ -1,13 +1,13 @@
 // Concurrency/determinism suite for the sharded scoring server
 // (src/serve/server/): N client threads x M shards, interleaved
 // single-row and batch requests, every response byte-identical to a
-// serial RowScorer oracle regardless of shard count, batcher settings,
-// or where the micro-batch cuts happen to land. Also locks down the
-// backpressure contract (clean kUnavailable on saturation, caller
-// buffers untouched), the shutdown drain (every accepted request
-// completes), and the serve.server.* telemetry namespace being disjoint
-// from the library-call series. The tsan preset re-runs the whole suite
-// under ThreadSanitizer.
+// serial RowScorer oracle regardless of shard count, max_batch_rows,
+// or where the cuts happen to land. Also locks down the backpressure
+// contract (clean kUnavailable on saturation, caller buffers
+// untouched), the shutdown drain (every accepted request completes),
+// the max_batch_rows cap on every cut, and the serve.server.* telemetry
+// namespace being disjoint from the library-call series. The tsan
+// preset re-runs the whole suite under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/engine.h"
@@ -81,13 +82,11 @@ Fixture MakeFixture(uint64_t seed) {
 
 std::unique_ptr<ScoringServer> MakeServer(const Fixture& f, size_t shards,
                                           size_t max_batch_rows,
-                                          uint64_t max_wait_us,
                                           size_t queue_capacity = 1024) {
   ServerOptions options;
   options.num_shards = shards;
   options.queue_capacity = queue_capacity;
-  options.batcher.max_batch_rows = max_batch_rows;
-  options.batcher.max_wait_us = max_wait_us;
+  options.max_batch_rows = max_batch_rows;
   auto server = ScoringServer::Create(f.plan, f.booster, options);
   SAFE_CHECK(server.ok()) << server.status().ToString();
   return std::move(*server);
@@ -101,18 +100,12 @@ bool SameBits(double a, double b) {
 TEST(ServeServerTest, BitIdenticalAcrossShardCountsAndBatcherSettings) {
   Fixture f = MakeFixture(31);
   const size_t n = f.rows.size();
-  struct BatcherCase {
-    size_t max_rows;
-    uint64_t max_wait_us;
-  };
-  // Immediate cuts (B=1), zero-wait time trigger, coalescing with a
-  // short and with a long window: four very different cut-point
-  // placements that must all be invisible in the outputs.
-  const BatcherCase cases[] = {{1, 0}, {64, 0}, {4, 100}, {64, 500}};
+  // One-row cuts (B=1), a small cap and a wide one: very different
+  // cut-point placements that must all be invisible in the outputs.
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (const BatcherCase& bc : cases) {
+    for (const size_t max_rows : {size_t{1}, size_t{4}, size_t{64}}) {
       std::unique_ptr<ScoringServer> server =
-          MakeServer(f, shards, bc.max_rows, bc.max_wait_us);
+          MakeServer(f, shards, max_rows);
       // Four concurrent clients striped over the rows, so batches
       // actually coalesce rows from different requests.
       const size_t clients = 4;
@@ -134,13 +127,11 @@ TEST(ServeServerTest, BitIdenticalAcrossShardCountsAndBatcherSettings) {
       for (std::thread& thread : threads) thread.join();
       for (size_t c = 0; c < clients; ++c) {
         ASSERT_EQ(failures[c], 0)
-            << "shards=" << shards << " B=" << bc.max_rows
-            << " T=" << bc.max_wait_us << " client " << c;
+            << "shards=" << shards << " B=" << max_rows << " client " << c;
       }
       for (size_t r = 0; r < n; ++r) {
         ASSERT_TRUE(SameBits(f.oracle[r], got[r]))
-            << "shards=" << shards << " B=" << bc.max_rows
-            << " T=" << bc.max_wait_us << " row " << r;
+            << "shards=" << shards << " B=" << max_rows << " row " << r;
       }
       server->Stop();
       const ServerStats stats = server->stats();
@@ -156,8 +147,8 @@ TEST(ServeServerTest, BatchRequestsBitIdenticalAtAnyChunkSize) {
   Fixture f = MakeFixture(32);
   const size_t n = f.rows.size();
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{8}}) {
-    std::unique_ptr<ScoringServer> server = MakeServer(f, shards, 64, 50);
-    // Chunk sizes straddling the batcher's B and the scorer's block
+    std::unique_ptr<ScoringServer> server = MakeServer(f, shards, 64);
+    // Chunk sizes straddling max_batch_rows and the scorer's block
     // size, ragged tails included.
     for (const size_t chunk : {size_t{1}, size_t{3}, size_t{17}, size_t{129},
                                n}) {
@@ -184,7 +175,7 @@ TEST(ServeServerTest, ConcurrentMixedLoadNoLossNoDuplication) {
   Fixture f = MakeFixture(33);
   const size_t n = f.rows.size();
   for (const size_t shards : {size_t{2}, size_t{8}}) {
-    std::unique_ptr<ScoringServer> server = MakeServer(f, shards, 16, 100);
+    std::unique_ptr<ScoringServer> server = MakeServer(f, shards, 16);
     // 8 clients, each alternating single-row and 5-row batch requests
     // over its stripe. Every row index is owned by exactly one request,
     // so the sentinel-initialized `got` array is a sequence-numbered
@@ -255,35 +246,83 @@ TEST(ServeServerTest, ConcurrentMixedLoadNoLossNoDuplication) {
 TEST(ServeServerTest, SaturationRejectsCleanlyWithFullAccounting) {
   Fixture f = MakeFixture(34);
   const size_t n = f.rows.size();
-  // A 2-slot queue on one shard whose batcher waits 1ms for co-riders:
-  // while the worker coalesces, eight re-submitting clients overflow
-  // admission, so rejections are the steady state rather than a timing
-  // fluke. No retries — every rejection must be a clean kUnavailable
-  // that leaves the caller's slot untouched.
+  // A 2-slot queue on one shard. Two clients send ~2K-row ScoreBatch
+  // requests, each of which keeps the worker busy for milliseconds;
+  // meanwhile six single-row clients overflow admission, so rejections
+  // are the steady state rather than a timing fluke. Every rejection
+  // must be a clean kUnavailable that leaves the caller's output
+  // untouched. Batch clients re-submit until their requests are in, so
+  // the worker stays busy; single-row clients never retry.
   std::unique_ptr<ScoringServer> server =
-      MakeServer(f, /*shards=*/1, /*max_batch_rows=*/128, /*max_wait_us=*/1000,
+      MakeServer(f, /*shards=*/1, /*max_batch_rows=*/128,
                  /*queue_capacity=*/2);
-  const size_t clients = 8;
-  const size_t per_client = 50;
-  std::vector<std::vector<double>> got(clients,
-                                       std::vector<double>(per_client,
-                                                           kSentinel));
-  std::vector<std::vector<size_t>> row_of(clients,
-                                          std::vector<size_t>(per_client, 0));
+  const size_t batch_clients = 2;
+  const size_t batches_per_client = 6;
+  const size_t batch_rows = 2048;
+  const size_t single_clients = 6;
+  const size_t min_singles = 50;
+  std::vector<std::vector<double>> batch(batch_rows);
+  for (size_t i = 0; i < batch_rows; ++i) batch[i] = f.rows[i % n];
+
+  std::atomic<uint64_t> batch_attempts{0};
   std::atomic<uint64_t> ok_count{0};
+  std::atomic<uint64_t> ok_rows{0};
   std::atomic<uint64_t> rejected_count{0};
   std::atomic<uint64_t> wrong_status{0};
+  std::atomic<uint64_t> wrong_output{0};
+  std::atomic<uint64_t> batch_clients_left{batch_clients};
+  // Each single-row attempt: its row and its output slot, which keeps
+  // the sentinel when the request is rejected.
+  std::vector<std::vector<std::pair<size_t, double>>> singles(single_clients);
   std::vector<std::thread> threads;
-  for (size_t c = 0; c < clients; ++c) {
+  for (size_t c = 0; c < batch_clients; ++c) {
     threads.emplace_back([&, c] {
-      for (size_t i = 0; i < per_client; ++i) {
-        const size_t r = (c * per_client + i) % n;
-        row_of[c][i] = r;
-        auto score = server->Score(r, f.rows[r]);
-        if (score.ok()) {
-          got[c][i] = *score;
+      for (size_t accepted = 0; accepted < batches_per_client;) {
+        std::vector<double> out{kSentinel};
+        // lint: mo-ok(standalone tally, read only after the clients join)
+        batch_attempts.fetch_add(1, std::memory_order_relaxed);
+        const Status status = server->ScoreBatch(c, batch, &out);
+        if (status.ok()) {
+          accepted += 1;
           // lint: mo-ok(standalone tally, read only after the clients join)
           ok_count.fetch_add(1, std::memory_order_relaxed);
+          // lint: mo-ok(standalone tally, read only after the clients join)
+          ok_rows.fetch_add(batch_rows, std::memory_order_relaxed);
+          bool same = out.size() == batch_rows;
+          for (size_t i = 0; same && i < batch_rows; ++i) {
+            same = SameBits(f.oracle[i % n], out[i]);
+          }
+          // lint: mo-ok(standalone tally, read only after the clients join)
+          if (!same) wrong_output.fetch_add(1, std::memory_order_relaxed);
+        } else if (status.code() == StatusCode::kUnavailable) {
+          // lint: mo-ok(standalone tally, read only after the clients join)
+          rejected_count.fetch_add(1, std::memory_order_relaxed);
+          if (out.size() != 1 || !SameBits(out[0], kSentinel)) {
+            // lint: mo-ok(standalone tally, read only after the clients join)
+            wrong_output.fetch_add(1, std::memory_order_relaxed);
+          }
+        } else {
+          // lint: mo-ok(standalone tally, read only after the clients join)
+          wrong_status.fetch_add(1, std::memory_order_relaxed);
+          break;
+        }
+      }
+      batch_clients_left.fetch_sub(1);
+    });
+  }
+  for (size_t c = 0; c < single_clients; ++c) {
+    threads.emplace_back([&, c] {
+      for (size_t i = 0; i < min_singles || batch_clients_left.load() > 0;
+           ++i) {
+        const size_t r = (c * min_singles + i) % n;
+        singles[c].emplace_back(r, kSentinel);
+        auto score = server->Score(r, f.rows[r]);
+        if (score.ok()) {
+          singles[c].back().second = *score;
+          // lint: mo-ok(standalone tally, read only after the clients join)
+          ok_count.fetch_add(1, std::memory_order_relaxed);
+          // lint: mo-ok(standalone tally, read only after the clients join)
+          ok_rows.fetch_add(1, std::memory_order_relaxed);
         } else if (score.status().code() == StatusCode::kUnavailable) {
           // lint: mo-ok(standalone tally, read only after the clients join)
           rejected_count.fetch_add(1, std::memory_order_relaxed);
@@ -298,32 +337,89 @@ TEST(ServeServerTest, SaturationRejectsCleanlyWithFullAccounting) {
   server->Stop();
 
   EXPECT_EQ(wrong_status.load(), 0u);
-  const uint64_t submitted = clients * per_client;
+  EXPECT_EQ(wrong_output.load(), 0u);
+  uint64_t submitted = batch_attempts.load();
+  for (const auto& attempts : singles) submitted += attempts.size();
   EXPECT_EQ(ok_count.load() + rejected_count.load(), submitted);
-  // The tiny queue under 8 re-submitting clients must actually have
-  // saturated — otherwise this test is not testing backpressure.
+  // The tiny queue under eight clients must actually have saturated —
+  // otherwise this test is not testing backpressure.
   EXPECT_GT(rejected_count.load(), 0u);
   EXPECT_GT(ok_count.load(), 0u);
   const ServerStats stats = server->stats();
   EXPECT_EQ(stats.accepted_requests, ok_count.load());
   EXPECT_EQ(stats.completed_requests, ok_count.load());
+  EXPECT_EQ(stats.accepted_rows, ok_rows.load());
+  EXPECT_EQ(stats.completed_rows, ok_rows.load());
   EXPECT_EQ(stats.rejected_requests, rejected_count.load());
   // Echo check: accepted slots carry the oracle bits for their row,
   // rejected slots still carry the sentinel (output untouched).
-  for (size_t c = 0; c < clients; ++c) {
-    for (size_t i = 0; i < per_client; ++i) {
-      const double value = got[c][i];
+  for (size_t c = 0; c < single_clients; ++c) {
+    for (size_t i = 0; i < singles[c].size(); ++i) {
+      const auto& [row, value] = singles[c][i];
       if (SameBits(value, kSentinel)) continue;  // was rejected
-      ASSERT_TRUE(SameBits(f.oracle[row_of[c][i]], value))
+      ASSERT_TRUE(SameBits(f.oracle[row], value))
           << "client " << c << " request " << i;
     }
+  }
+}
+
+TEST(ServeServerTest, CutNeverExceedsMaxBatchRows) {
+  Fixture f = MakeFixture(39);
+  const size_t n = f.rows.size();
+  constexpr size_t kMaxRows = 4;
+  // Eight single-row clients on one shard queue up more than kMaxRows
+  // requests whenever the worker is busy; each drain still takes at
+  // most kMaxRows rows.
+  std::unique_ptr<ScoringServer> server = MakeServer(f, 1, kMaxRows);
+  // The first cut registers the serve.server.* series.
+  ASSERT_TRUE(server->Score(0, f.rows[0]).ok());
+  const auto fill = [] {
+    return obs::MetricsRegistry::Global()
+        ->Snapshot()
+        .histograms.at("serve.server.batch_fill");
+  };
+  const ServerStats stats_before = server->stats();
+  const obs::HistogramSnapshot before = fill();
+  const size_t clients = 8;
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      for (size_t r = c; r < n; r += clients) {
+        auto score = server->Score(r, f.rows[r]);
+        if (!score.ok() || !SameBits(f.oracle[r], *score)) {
+          // lint: mo-ok(standalone tally, read only after the clients join)
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  server->Stop();
+  const obs::HistogramSnapshot after = fill();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.completed_rows - stats_before.completed_rows, n);
+  EXPECT_EQ(after.count - before.count, stats.batches - stats_before.batches);
+  // Buckets are powers of two and hold (bound[i-1], bound[i]]; every
+  // bucket above the one bounded by kMaxRows, overflow included, must
+  // be unchanged.
+  ASSERT_EQ(after.counts.size(), before.counts.size());
+  for (size_t i = 0; i < after.counts.size(); ++i) {
+    if (i < after.upper_bounds.size() &&
+        after.upper_bounds[i] <= static_cast<double>(kMaxRows)) {
+      continue;
+    }
+    EXPECT_EQ(after.counts[i], before.counts[i])
+        << "cuts above " << kMaxRows << " rows in bucket " << i;
   }
 }
 
 TEST(ServeServerTest, StopDrainsAcceptedAndRejectsNew) {
   Fixture f = MakeFixture(35);
   const size_t n = f.rows.size();
-  std::unique_ptr<ScoringServer> server = MakeServer(f, 2, 32, 200);
+  std::unique_ptr<ScoringServer> server = MakeServer(f, 2, 32);
   // Clients submit in a loop while the main thread stops the server
   // mid-flight: every response is either correct or a clean
   // kUnavailable, and afterwards accepted == completed (the drain
@@ -392,9 +488,9 @@ TEST(ServeServerTest, StopRacingSubmitNeverStrandsARequest) {
   const size_t lifecycles = 150;
 #endif
   for (size_t iter = 0; iter < lifecycles; ++iter) {
-    // B=1/T=0: the worker cuts every request immediately, so between
+    // B=1: the worker cuts every request on its own, so between
     // requests it is exactly at the exit-condition check.
-    std::unique_ptr<ScoringServer> server = MakeServer(f, 2, 1, 0);
+    std::unique_ptr<ScoringServer> server = MakeServer(f, 2, 1);
     const size_t clients = 3;
     std::atomic<uint64_t> wrong_status{0};
     std::atomic<uint64_t> wrong_bits{0};
@@ -432,7 +528,7 @@ TEST(ServeServerTest, StopRacingSubmitNeverStrandsARequest) {
 
 TEST(ServeServerTest, RoundRobinOverloadsAndEdgeCases) {
   Fixture f = MakeFixture(36);
-  std::unique_ptr<ScoringServer> server = MakeServer(f, 2, 8, 50);
+  std::unique_ptr<ScoringServer> server = MakeServer(f, 2, 8);
   EXPECT_EQ(server->num_shards(), 2u);
   EXPECT_EQ(server->num_inputs(), f.rows[0].size());
 
@@ -473,7 +569,7 @@ TEST(ServeServerTest, RoundRobinOverloadsAndEdgeCases) {
 TEST(ServeServerTest, TelemetryServerSeriesDisjointFromLibrarySeries) {
   Fixture f = MakeFixture(37);  // fixture oracle touches serve.latency_us
   const size_t n = f.rows.size();
-  std::unique_ptr<ScoringServer> server = MakeServer(f, 2, 16, 100);
+  std::unique_ptr<ScoringServer> server = MakeServer(f, 2, 16);
 
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Global()->Snapshot();
   // Server traffic only between the snapshots: singles + one batch.
@@ -535,7 +631,7 @@ TEST(ServeServerTest, StatsWorkWithoutTelemetry) {
   // ServerStats are this server's own plain atomics, read without the
   // process-wide metrics registry: the no-loss accounting holds on them.
   Fixture f = MakeFixture(38);
-  std::unique_ptr<ScoringServer> server = MakeServer(f, 1, 4, 50);
+  std::unique_ptr<ScoringServer> server = MakeServer(f, 1, 4);
   const size_t requests = std::min<size_t>(f.rows.size(), 40);
   for (size_t r = 0; r < requests; ++r) {
     ASSERT_TRUE(server->Score(r, f.rows[r]).ok());

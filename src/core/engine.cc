@@ -333,62 +333,33 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
     ParallelFor(pool, 0, tasks.size(), [&](size_t t) {
       const uint64_t start_ns = obs::NowNanos();
       GenerationTask& task = tasks[t];
-      std::vector<const std::vector<double>*> train_parents;
-      std::vector<const std::vector<double>*> valid_parents;
-      // Operators consume whole vectors, so chunked parents are gathered
-      // per task — at most arity columns resident at once, regardless of
-      // frame width. The gathered bits equal the dense bits, so the
-      // generated column is unchanged by storage.
-      std::vector<std::vector<double>> gathered_train;
-      std::vector<std::vector<double>> gathered_valid;
-      gathered_train.reserve(task.ordering.size());
-      gathered_valid.reserve(task.ordering.size());
-      const ChunkedVector<double>* chunk_home = nullptr;
+      ColumnLoan train_parents;
+      ColumnLoan valid_parents;
       for (int f : task.ordering) {
-        const Column& parent = current.x.column(static_cast<size_t>(f));
-        if (parent.chunked()) {
-          if (chunk_home == nullptr) chunk_home = parent.chunks().get();
-          gathered_train.push_back(parent.Gather());
-          train_parents.push_back(&gathered_train.back());
-        } else {
-          train_parents.push_back(&parent.values());
-        }
+        train_parents.Lend(current.x.column(static_cast<size_t>(f)));
         if (has_valid) {
-          const Column& valid_parent =
-              current_valid.x.column(static_cast<size_t>(f));
-          if (valid_parent.chunked()) {
-            gathered_valid.push_back(valid_parent.Gather());
-            valid_parents.push_back(&gathered_valid.back());
-          } else {
-            valid_parents.push_back(&valid_parent.values());
-          }
+          valid_parents.Lend(current_valid.x.column(static_cast<size_t>(f)));
         }
       }
       // Failures here (unfittable params, inapplicable operator,
       // constant or all-missing output) simply leave the task !ok — the
       // serial code skipped those columns the same way.
-      auto params_result = task.op->FitParams(train_parents);
+      auto params_result = task.op->FitParams(train_parents.vectors());
       if (!params_result.ok()) return;
       auto values_result =
-          ApplyOperator(*task.op, *params_result, train_parents);
+          ApplyOperator(*task.op, *params_result, train_parents.vectors());
       if (!values_result.ok()) return;
       Column column(task.name, std::move(*values_result));
       if (column.IsConstant()) return;  // carries no information
       if (column.CountMissing() == column.size()) return;
-      if (chunk_home != nullptr) {
-        // Children of chunked parents go back to chunked storage (same
-        // pool and group size), keeping the candidate pool spillable.
-        column = column.AsChunked(chunk_home->pool(),
-                                  chunk_home->group_rows());
-      }
+      task.train_column = train_parents.StoreLike(std::move(column));
       if (has_valid) {
         auto valid_values =
-            ApplyOperator(*task.op, *params_result, valid_parents);
+            ApplyOperator(*task.op, *params_result, valid_parents.vectors());
         if (!valid_values.ok()) return;
         task.valid_values = std::move(*valid_values);
       }
       task.params = std::move(*params_result);
-      task.train_column = std::move(column);
       task.ok = true;
       obs::PerThreadHistogram("engine.generate_us",
                               obs::DefaultLatencyBucketsUs())

@@ -87,31 +87,14 @@ Result<DataFrame> FeaturePlan::Transform(
   for (size_t g = 0; g < generated_.size(); ++g) {
     const GeneratedFeature& feature = generated_[g];
     SAFE_ASSIGN_OR_RETURN(auto op, registry.Find(feature.op));
-    // Chunked parents are gathered per feature (at most arity columns
-    // resident at once); the generated column returns to chunked storage
-    // so the output frame spills like its inputs.
-    std::vector<const std::vector<double>*> parents;
-    std::vector<std::vector<double>> gathered;
-    gathered.reserve(parent_slots_[g].size());
-    const ChunkedVector<double>* chunk_home = nullptr;
-    for (size_t slot : parent_slots_[g]) {
-      const Column& parent = workspace[slot];
-      if (parent.chunked()) {
-        if (chunk_home == nullptr) chunk_home = parent.chunks().get();
-        gathered.push_back(parent.Gather());
-        parents.push_back(&gathered.back());
-      } else {
-        parents.push_back(&parent.values());
-      }
-    }
-    SAFE_ASSIGN_OR_RETURN(std::vector<double> values,
-                          ApplyOperator(*op, feature.params, parents));
-    Column column(feature.name, std::move(values));
-    if (chunk_home != nullptr) {
-      column = column.AsChunked(chunk_home->pool(),
-                                chunk_home->group_rows());
-    }
-    workspace.push_back(std::move(column));
+    ColumnLoan parents;
+    for (size_t slot : parent_slots_[g]) parents.Lend(workspace[slot]);
+    SAFE_ASSIGN_OR_RETURN(
+        std::vector<double> values,
+        ApplyOperator(*op, feature.params, parents.vectors()));
+    // The output frame spills like its inputs.
+    workspace.push_back(
+        parents.StoreLike(Column(feature.name, std::move(values))));
   }
   DataFrame out;
   for (size_t slot : selected_slots_) {
@@ -138,6 +121,8 @@ Result<std::vector<double>> FeaturePlan::TransformRow(
   for (size_t g = 0; g < generated_.size(); ++g) {
     const GeneratedFeature& feature = generated_[g];
     SAFE_ASSIGN_OR_RETURN(auto op, registry.Find(feature.op));
+    SAFE_RETURN_NOT_OK(
+        CheckApplicable(*op, parent_slots_[g].size(), feature.params));
     inputs.clear();
     bool missing = false;
     for (size_t slot : parent_slots_[g]) {

@@ -15,6 +15,19 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+/// True when `v` holds a non-negative integer (a count stored as double).
+bool IsCount(double v) {
+  return std::isfinite(v) && v >= 0.0 && v == std::floor(v) &&
+         v <= 1e9;
+}
+
+Status ExpectParamCount(const std::vector<double>& params, size_t count) {
+  if (params.size() == count) return Status::OK();
+  return Status::InvalidArgument("expected " + std::to_string(count) +
+                                 " params, got " +
+                                 std::to_string(params.size()));
+}
+
 // ---------------------------------------------------------------------------
 // Binary arithmetic
 
@@ -175,7 +188,19 @@ class AbsOp : public UnaryMathOp {
 // ---------------------------------------------------------------------------
 // Unary fitted: normalization / discretization
 
-class ZscoreOp : public UnaryMathOp {
+/// (x - offset) / scale with fitted params {offset, scale}.
+class AffineUnaryOp : public UnaryMathOp {
+ public:
+  Status CheckParams(const std::vector<double>& params) const override {
+    return ExpectParamCount(params, 2);
+  }
+  double Apply(const double* in,
+               const std::vector<double>& params) const override {
+    return (in[0] - params[0]) / params[1];
+  }
+};
+
+class ZscoreOp : public AffineUnaryOp {
  public:
   std::string name() const override { return "zscore"; }
   Result<std::vector<double>> FitParams(
@@ -184,13 +209,9 @@ class ZscoreOp : public UnaryMathOp {
     const double sd = StdDev(*parents[0]);
     return std::vector<double>{mu, sd > 1e-12 ? sd : 1.0};
   }
-  double Apply(const double* in,
-               const std::vector<double>& params) const override {
-    return (in[0] - params[0]) / params[1];
-  }
 };
 
-class MinMaxOp : public UnaryMathOp {
+class MinMaxOp : public AffineUnaryOp {
  public:
   std::string name() const override { return "minmax"; }
   Result<std::vector<double>> FitParams(
@@ -201,10 +222,6 @@ class MinMaxOp : public UnaryMathOp {
       return Status::InvalidArgument("minmax: all values missing");
     }
     return std::vector<double>{lo, hi > lo ? hi - lo : 1.0};
-  }
-  double Apply(const double* in,
-               const std::vector<double>& params) const override {
-    return (in[0] - params[0]) / params[1];
   }
 };
 
@@ -255,6 +272,18 @@ class GroupByOp : public Operator {
       params.push_back(Aggregate(group));
     }
     return params;
+  }
+
+  Status CheckParams(const std::vector<double>& params) const override {
+    if (params.empty() || !IsCount(params[0])) {
+      return Status::InvalidArgument("missing/invalid edge count");
+    }
+    const size_t n = static_cast<size_t>(params[0]);
+    if (params.size() != 1 + n + (n + 2)) {
+      return Status::InvalidArgument(
+          "param layout does not match edge count");
+    }
+    return Status::OK();
   }
 
   double Apply(const double* in,
@@ -363,6 +392,10 @@ class RidgeOp : public Operator {
     return std::vector<double>{w, mean_b - w * mean_a};
   }
 
+  Status CheckParams(const std::vector<double>& params) const override {
+    return ExpectParamCount(params, 2);  // {w, c}
+  }
+
   double Apply(const double* in,
                const std::vector<double>& params) const override {
     return in[1] - (params[0] * in[0] + params[1]);
@@ -436,6 +469,18 @@ class KernelRidgeOp : public Operator {
     return params;
   }
 
+  Status CheckParams(const std::vector<double>& params) const override {
+    if (params.size() < 2 || !IsCount(params[0]) || params[0] < 1.0) {
+      return Status::InvalidArgument("missing/invalid landmark count");
+    }
+    const size_t m = static_cast<size_t>(params[0]);
+    if (params.size() != 2 + 2 * m) {
+      return Status::InvalidArgument(
+          "param layout does not match landmark count");
+    }
+    return Status::OK();
+  }
+
   double Apply(const double* in,
                const std::vector<double>& params) const override {
     const size_t m = static_cast<size_t>(params[0]);
@@ -474,15 +519,26 @@ void RegisterArithmetic(OperatorRegistry* registry) {
 
 }  // namespace
 
-Result<std::vector<double>> ApplyOperator(
-    const Operator& op, const std::vector<double>& params,
-    const std::vector<const std::vector<double>*>& parents) {
-  if (parents.size() != op.arity()) {
+Status CheckApplicable(const Operator& op, size_t num_parents,
+                       const std::vector<double>& params) {
+  if (num_parents != op.arity()) {
     return Status::InvalidArgument(
         "operator '" + op.name() + "' expects " +
         std::to_string(op.arity()) + " parents, got " +
-        std::to_string(parents.size()));
+        std::to_string(num_parents));
   }
+  const Status params_ok = op.CheckParams(params);
+  if (!params_ok.ok()) {
+    return Status::InvalidArgument("operator '" + op.name() +
+                                   "': " + params_ok.message());
+  }
+  return Status::OK();
+}
+
+Result<std::vector<double>> ApplyOperator(
+    const Operator& op, const std::vector<double>& params,
+    const std::vector<const std::vector<double>*>& parents) {
+  SAFE_RETURN_NOT_OK(CheckApplicable(op, parents.size(), params));
   const size_t rows = parents[0]->size();
   for (const auto* parent : parents) {
     if (parent->size() != rows) {

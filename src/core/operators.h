@@ -44,11 +44,28 @@ class Operator {
     return std::vector<double>{};
   }
 
-  /// Element-wise application; `inputs` holds arity() values. Returns NaN
-  /// for undefined cases (log of a negative, division by zero, ...).
+  /// Element-wise application; `inputs` holds arity() values and `params`
+  /// passed CheckParams. Returns NaN for undefined cases (log of a
+  /// negative, division by zero, ...).
   virtual double Apply(const double* inputs,
                        const std::vector<double>& params) const = 0;
+
+  /// Checks that `params` has the layout Apply indexes into (default:
+  /// any, for operators whose Apply reads no params or only as many as
+  /// there are).
+  [[nodiscard]] virtual Status CheckParams(
+      const std::vector<double>& /*params*/) const {
+    return Status::OK();
+  }
 };
+
+/// Checks that `op` can be applied to `num_parents` parents with stored
+/// `params`: the arity matches and the params pass op.CheckParams. Every
+/// path that applies a plan's stored params (ApplyOperator,
+/// FeaturePlan::TransformRow, CompiledPlan::Compile) runs it first, so a
+/// malformed plan gives a Status instead of an out-of-bounds read.
+[[nodiscard]] Status CheckApplicable(const Operator& op, size_t num_parents,
+                                     const std::vector<double>& params);
 
 /// Applies an operator across full columns (NaN in, NaN out).
 [[nodiscard]] Result<std::vector<double>> ApplyOperator(

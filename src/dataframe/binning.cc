@@ -85,7 +85,7 @@ Result<std::vector<uint64_t>> SortedNonMissing(
 }
 
 /// Column analogue of SortedNonMissing, built span by span. Radix order
-/// depends only on the key bits, so the result equals the dense path's.
+/// depends only on the key bits, so the result equals the vector path's.
 Result<std::vector<uint64_t>> SortedNonMissingColumn(const Column& column) {
   std::vector<uint64_t> keys;
   keys.reserve(column.size());

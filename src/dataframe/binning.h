@@ -55,7 +55,7 @@ struct BinEdges {
                                      size_t num_bins);
 
 /// Storage-agnostic overload: streams the column row-group-wise (never
-/// materializing a chunked column) and produces the exact bits of the
+/// materializing a pooled column) and produces the exact bits of the
 /// vector overload.
 [[nodiscard]] Result<BinEdges> EqualFrequencyEdges(const Column& column,
                                      size_t num_bins);

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -33,13 +35,15 @@ constexpr bool ValidRowGroupRows(size_t group_rows) {
 }
 
 /// \brief An immutable sequence of T partitioned into fixed-size row
-/// groups whose payloads live in a SpillPool.
+/// groups: the one storage behind every column.
 ///
-/// All groups hold exactly group_rows() elements except the last, which
-/// may be shorter. Reads pin the containing group (faulting it back from
-/// the spill file if evicted) for the lifetime of the returned Span.
-/// Instantiated for double (feature columns) and uint16_t (quantized bin
-/// columns).
+/// A pooled vector's group payloads live in a SpillPool; reads pin the
+/// containing group (faulting it back from the spill file if evicted) for
+/// the lifetime of the returned Span. A resident vector holds its rows in
+/// memory with no pool, and its one group covers every row. All groups
+/// hold exactly group_rows() elements except the last, which may be
+/// shorter. Instantiated for double (feature columns) and uint16_t
+/// (quantized bin columns).
 template <typename T>
 class ChunkedVector {
  public:
@@ -70,10 +74,22 @@ class ChunkedVector {
     SAFE_CHECK(pool_ != nullptr && ValidRowGroupRows(group_rows_));
   }
 
+  /// A resident vector: one group of bit_ceil(max(size, kMinRowGroupRows))
+  /// rows, so group_rows() is valid and every fixed chunk grain divides it.
+  explicit ChunkedVector(std::vector<T> values)
+      : values_(std::move(values)),
+        group_rows_(std::bit_ceil(std::max(values_.size(), kMinRowGroupRows))),
+        size_(values_.size()) {}
+
   size_t size() const { return size_; }
   size_t group_rows() const { return group_rows_; }
-  size_t num_groups() const { return group_ids_.size(); }
+  size_t num_groups() const { return (size_ + group_rows_ - 1) / group_rows_; }
+  /// The pool holding the groups; null for a resident vector.
   const std::shared_ptr<SpillPool>& pool() const { return pool_; }
+  /// The rows of a resident vector; null for a pooled one.
+  const std::vector<T>* resident() const {
+    return pool_ ? nullptr : &values_;
+  }
 
   size_t GroupOf(size_t row) const { return row / group_rows_; }
   size_t GroupBegin(size_t g) const { return g * group_rows_; }
@@ -90,9 +106,13 @@ class ChunkedVector {
         << "chunked: span [" << lo << "," << hi << ") straddles group "
         << g << " ending at " << GroupEnd(g);
     Span span;
-    span.pin_ = pool_->PinGroup(group_ids_[g]);
-    span.data_ =
-        static_cast<const T*>(span.pin_.data()) + (lo - GroupBegin(g));
+    if (pool_) {
+      span.pin_ = pool_->PinGroup(group_ids_[g]);
+      span.data_ =
+          static_cast<const T*>(span.pin_.data()) + (lo - GroupBegin(g));
+    } else {
+      span.data_ = values_.data() + lo;
+    }
     span.begin_ = lo;
     span.end_ = hi;
     return span;
@@ -126,6 +146,7 @@ class ChunkedVector {
   /// spans or a ChunkedCursor in loops).
   T At(size_t i) const {
     SAFE_CHECK(i < size_);
+    if (!pool_) return values_[i];
     const size_t g = GroupOf(i);
     SpillPool::Pin pin = pool_->PinGroup(group_ids_[g]);
     return static_cast<const T*>(pin.data())[i - GroupBegin(g)];
@@ -134,23 +155,33 @@ class ChunkedVector {
  private:
   std::shared_ptr<SpillPool> pool_;
   std::vector<uint64_t> group_ids_;
+  std::vector<T> values_;  ///< a resident vector's rows
   size_t group_rows_ = 0;
   size_t size_ = 0;
 };
 
 /// \brief Streaming writer for a ChunkedVector: appends values in row
 /// order, sealing each full group into the pool as it completes (so at
-/// most one group of scratch is ever held here).
+/// most one group of scratch is ever held here). Without a pool it keeps
+/// every row and finishes a resident vector (`group_rows` is then
+/// ignored), so `ChunkedVectorBuilder(v.pool(), v.group_rows())` builds
+/// a vector stored like `v`.
 template <typename T>
 class ChunkedVectorBuilder {
  public:
-  ChunkedVectorBuilder(std::shared_ptr<SpillPool> pool, size_t group_rows)
+  explicit ChunkedVectorBuilder(std::shared_ptr<SpillPool> pool = nullptr,
+                                size_t group_rows = kDefaultRowGroupRows)
       : pool_(std::move(pool)), group_rows_(group_rows) {
-    SAFE_CHECK(pool_ != nullptr && ValidRowGroupRows(group_rows_));
+    if (!pool_) return;
+    SAFE_CHECK(ValidRowGroupRows(group_rows_));
     scratch_.reserve(group_rows_);
   }
 
   void Append(const T* values, size_t n) {
+    if (!pool_) {
+      scratch_.insert(scratch_.end(), values, values + n);
+      return;
+    }
     size_t done = 0;
     while (done < n) {
       const size_t take =
@@ -163,7 +194,7 @@ class ChunkedVectorBuilder {
 
   void Push(T value) {
     scratch_.push_back(value);
-    if (scratch_.size() == group_rows_) SealScratch();
+    if (pool_ && scratch_.size() == group_rows_) SealScratch();
   }
 
   size_t size() const { return sealed_rows_ + scratch_.size(); }
@@ -171,6 +202,11 @@ class ChunkedVectorBuilder {
   /// Seals any partial final group and returns the finished vector. The
   /// builder is exhausted afterwards.
   std::shared_ptr<const ChunkedVector<T>> Finish() {
+    if (!pool_) {
+      auto out = std::make_shared<const ChunkedVector<T>>(std::move(scratch_));
+      scratch_.clear();
+      return out;
+    }
     if (!scratch_.empty()) SealScratch();
     auto out = std::make_shared<const ChunkedVector<T>>(
         pool_, group_rows_, std::move(group_ids_), sealed_rows_);
@@ -193,21 +229,14 @@ class ChunkedVectorBuilder {
   size_t sealed_rows_ = 0;
 };
 
-/// \brief Sequential-friendly reader over either a dense buffer or a
-/// ChunkedVector: At(i) is a bounds check plus a pointer read while i
-/// stays inside the current pinned window, re-pinning only on a group
-/// change. Mostly-ascending access patterns (the trainer's row lists,
-/// RankCombinations' row scan) touch each group once.
+/// \brief Sequential-friendly reader over a ChunkedVector: At(i) is a
+/// bounds check plus a pointer read while i stays inside the current
+/// pinned window, re-pinning only on a group change (a resident vector's
+/// one window covers every row). Mostly-ascending access patterns (the
+/// trainer's row lists, RankCombinations' row scan) touch each group once.
 template <typename T>
 class ChunkedCursor {
  public:
-  ChunkedCursor() = default;
-
-  /// Cursor over a dense buffer (single permanent window).
-  ChunkedCursor(const T* dense, size_t n)
-      : window_(dense), lo_(0), hi_(n) {}
-
-  /// Cursor over a chunked vector (windows follow the pinned group).
   /// `chunks` must outlive the cursor.
   explicit ChunkedCursor(const ChunkedVector<T>* chunks) : chunks_(chunks) {}
 
@@ -220,7 +249,7 @@ class ChunkedCursor {
  private:
   /// Slow path: pins the group containing row i and retries.
   T Refill(size_t i) {
-    SAFE_CHECK(chunks_ != nullptr && i < chunks_->size());
+    SAFE_CHECK(i < chunks_->size());
     const size_t g = chunks_->GroupOf(i);
     span_ = chunks_->PinSpan(chunks_->GroupBegin(g), chunks_->GroupEnd(g));
     window_ = span_.data();

@@ -2,25 +2,9 @@
 
 namespace safe {
 
-void Column::ForEachSpan(
-    size_t lo, size_t hi,
-    const std::function<void(size_t, const double*, size_t)>& fn) const {
-  SAFE_CHECK(lo <= hi && hi <= size());
-  if (lo == hi) return;
-  if (chunks_) {
-    chunks_->ForEachSpan(lo, hi, fn);
-  } else {
-    fn(lo, data_->data() + lo, hi - lo);
-  }
-}
-
 std::vector<double> Column::Gather() const {
   std::vector<double> out(size());
-  if (chunks_) {
-    chunks_->CopyRange(0, chunks_->size(), out.data());
-  } else {
-    out.assign(data_->begin(), data_->end());
-  }
+  chunks_->CopyRange(0, size(), out.data());
   return out;
 }
 
@@ -57,10 +41,27 @@ bool Column::IsConstant() const {
 
 Column Column::AsChunked(const std::shared_ptr<SpillPool>& pool,
                          size_t group_rows) const {
-  if (chunks_) return *this;
+  if (chunked()) return *this;
   ChunkedVectorBuilder<double> builder(pool, group_rows);
-  builder.Append(data_->data(), data_->size());
+  ForEachSpan(0, size(), [&](size_t, const double* values, size_t len) {
+    builder.Append(values, len);
+  });
   return Column(name_, builder.Finish());
+}
+
+void ColumnLoan::Lend(const Column& column) {
+  const ChunkedVector<double>& chunks = *column.chunks();
+  if (const std::vector<double>* resident = chunks.resident()) {
+    vectors_.push_back(resident);
+    return;
+  }
+  if (home_ == nullptr) home_ = &chunks;
+  vectors_.push_back(&gathered_.emplace_back(column.Gather()));
+}
+
+Column ColumnLoan::StoreLike(Column child) const {
+  if (home_ == nullptr) return child;
+  return child.AsChunked(home_->pool(), home_->group_rows());
 }
 
 }  // namespace safe

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cmath>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -15,33 +16,27 @@ namespace safe {
 /// \brief An immutable, named column of doubles.
 ///
 /// All values in this library are doubles; NaN encodes a missing value.
-/// A column owns exactly one of two storages:
-///   - dense: one contiguous shared `std::vector<double>` (the default),
-///   - chunked: a ChunkedVector of fixed-size row groups whose payloads
-///     live in a SpillPool and may be evicted to disk under a resident
-///     budget (see spill.h).
-/// Either way the buffer is shared, so selecting / reordering columns in
-/// a DataFrame is O(1) per column — essential when SAFE's candidate pool
-/// holds thousands of columns over millions of rows.
+/// A column's storage is one shared ChunkedVector (see chunked.h): either
+/// resident (one group holding every row in memory, the default) or
+/// pooled (fixed-size row groups in a SpillPool that may be evicted to
+/// disk under a resident budget, see spill.h). Either way the buffer is
+/// shared, so selecting / reordering columns in a DataFrame is O(1) per
+/// column — essential when SAFE's candidate pool holds thousands of
+/// columns over millions of rows.
 ///
-/// `values()` / `data()` are the resident-only accessors and CHECK-fail
-/// on a chunked column; streaming consumers use `ForEachSpan` / `cursor`
-/// which serve both storages, dense appearing as one maximal span so the
+/// Readers use `ForEachSpan` / `cursor` / `chunks()->PinSpan`, which
+/// serve both storages: a resident column is one maximal span, so the
 /// iteration order (and therefore every FP reduction) is identical.
+/// `values()` is the resident-only accessor and CHECK-fails on a pooled
+/// column.
 class Column {
  public:
-  Column() : data_(std::make_shared<std::vector<double>>()) {}
+  Column() : Column("", std::vector<double>{}) {}
 
   Column(std::string name, std::vector<double> values)
-      : name_(std::move(name)),
-        data_(std::make_shared<std::vector<double>>(std::move(values))) {}
+      : Column(std::move(name), std::make_shared<const ChunkedVector<double>>(
+                                    std::move(values))) {}
 
-  Column(std::string name, std::shared_ptr<const std::vector<double>> values)
-      : name_(std::move(name)), data_(std::move(values)) {
-    SAFE_CHECK(data_ != nullptr);
-  }
-
-  /// A chunked (out-of-core capable) column.
   Column(std::string name,
          std::shared_ptr<const ChunkedVector<double>> chunks)
       : name_(std::move(name)), chunks_(std::move(chunks)) {
@@ -49,50 +44,47 @@ class Column {
   }
 
   const std::string& name() const { return name_; }
-  size_t size() const { return chunks_ ? chunks_->size() : data_->size(); }
+  size_t size() const { return chunks_->size(); }
 
-  /// True when this column is row-group backed (possibly spilled).
-  bool chunked() const { return chunks_ != nullptr; }
+  /// True when this column's row groups live in a SpillPool (possibly
+  /// spilled); false for a resident column.
+  bool chunked() const { return chunks_->resident() == nullptr; }
 
-  /// Dense values — CHECK-fails on a chunked column (use ForEachSpan /
+  /// Resident values — CHECK-fails on a pooled column (use ForEachSpan /
   /// cursor / Gather for storage-agnostic access).
   const std::vector<double>& values() const {
-    SAFE_CHECK(data_ != nullptr)
+    const std::vector<double>* resident = chunks_->resident();
+    SAFE_CHECK(resident != nullptr)
         << "Column '" << name_ << "': values() on a chunked column";
-    return *data_;
+    return *resident;
   }
 
-  /// Single-element read. On a chunked column this pins and unpins the
+  /// Single-element read. On a pooled column this pins and unpins the
   /// containing row group — use spans or a cursor in loops.
-  double operator[](size_t i) const {
-    return chunks_ ? chunks_->At(i) : (*data_)[i];
-  }
+  double operator[](size_t i) const { return chunks_->At(i); }
 
-  /// Shares the underlying buffer (either storage) under a new name.
+  /// Shares the underlying storage under a new name.
   Column Renamed(std::string new_name) const {
-    Column out;
-    out.name_ = std::move(new_name);
-    out.data_ = data_;
-    out.chunks_ = chunks_;
-    return out;
+    return Column(std::move(new_name), chunks_);
   }
 
   /// Invokes fn(base_row, values, len) for consecutive row spans covering
-  /// [lo, hi) in ascending row order; a dense column yields one maximal
-  /// span, a chunked column one span per row group. Serial iteration over
-  /// the spans accumulates in exactly the order a contiguous loop would.
+  /// [lo, hi) in ascending row order, one span per row group (a resident
+  /// column yields one maximal span). Serial iteration over the spans
+  /// accumulates in exactly the order a contiguous loop would.
   void ForEachSpan(
       size_t lo, size_t hi,
-      const std::function<void(size_t, const double*, size_t)>& fn) const;
+      const std::function<void(size_t, const double*, size_t)>& fn) const {
+    chunks_->ForEachSpan(lo, hi, fn);
+  }
 
-  /// Sequential-friendly element reader over either storage.
+  /// Sequential-friendly element reader.
   ChunkedCursor<double> cursor() const {
-    return chunks_ ? ChunkedCursor<double>(chunks_.get())
-                   : ChunkedCursor<double>(data_->data(), data_->size());
+    return ChunkedCursor<double>(chunks_.get());
   }
 
   /// Materializes all rows into one contiguous vector (faulting spilled
-  /// groups as needed). On a dense column this is a plain copy.
+  /// groups as needed).
   std::vector<double> Gather() const;
 
   /// Number of NaN entries.
@@ -101,29 +93,52 @@ class Column {
   /// True when every non-missing value equals the first non-missing value.
   bool IsConstant() const;
 
-  /// The shared dense buffer (for zero-copy hand-off). CHECK-fails on a
-  /// chunked column.
-  const std::shared_ptr<const std::vector<double>>& data() const {
-    SAFE_CHECK(data_ != nullptr)
-        << "Column '" << name_ << "': data() on a chunked column";
-    return data_;
-  }
-
-  /// The chunked storage, or null for a dense column.
+  /// The storage, resident or pooled.
   const std::shared_ptr<const ChunkedVector<double>>& chunks() const {
     return chunks_;
   }
 
   /// Copy of this column re-homed into `pool`-backed row groups of
-  /// `group_rows` rows (identical bits, chunked storage). A no-op share
-  /// if already chunked.
+  /// `group_rows` rows (identical bits, pooled storage). A no-op share
+  /// if already pooled.
   Column AsChunked(const std::shared_ptr<SpillPool>& pool,
                    size_t group_rows) const;
 
  private:
   std::string name_;
-  std::shared_ptr<const std::vector<double>> data_;
   std::shared_ptr<const ChunkedVector<double>> chunks_;
+};
+
+/// \brief Lends columns to an operator as contiguous vectors, then stores
+/// its output like them.
+///
+/// Resident columns are borrowed; pooled ones are gathered, so at most
+/// one copy per lent column is resident while the loan lives, regardless
+/// of frame width. The gathered bits equal the stored bits, so what an
+/// operator computes does not depend on storage.
+class ColumnLoan {
+ public:
+  ColumnLoan() = default;
+  ColumnLoan(const ColumnLoan&) = delete;
+  ColumnLoan& operator=(const ColumnLoan&) = delete;
+
+  /// Appends `column` to the loan; it must outlive the loan.
+  void Lend(const Column& column);
+
+  /// One contiguous vector per lent column, in lending order.
+  const std::vector<const std::vector<double>*>& vectors() const {
+    return vectors_;
+  }
+
+  /// `child` re-homed like the first pooled lent column (same pool and
+  /// group size), keeping a candidate pool spillable; unchanged when every
+  /// lent column is resident.
+  Column StoreLike(Column child) const;
+
+ private:
+  std::deque<std::vector<double>> gathered_;  // stable element addresses
+  std::vector<const std::vector<double>*> vectors_;
+  const ChunkedVector<double>* home_ = nullptr;
 };
 
 }  // namespace safe

@@ -109,17 +109,13 @@ FrameWindow::FrameWindow(const DataFrame& frame,
     : lo_(lo), hi_(hi) {
   SAFE_CHECK(lo < hi && hi <= frame.num_rows());
   cols_.assign(frame.num_columns(), nullptr);
+  spans_.reserve(columns.size());
   for (size_t i = 0; i < columns.size(); ++i) {
     const size_t c = columns[i];
     SAFE_CHECK(c < frame.num_columns() && (i == 0 || columns[i - 1] < c))
         << "FrameWindow: columns must be strictly ascending and in range";
-    const Column& col = frame.column(c);
-    if (col.chunked()) {
-      spans_.push_back(col.chunks()->PinSpan(lo, hi));
-      cols_[c] = spans_.back().data();
-    } else {
-      cols_[c] = col.values().data() + lo;
-    }
+    spans_.push_back(frame.column(c).chunks()->PinSpan(lo, hi));
+    cols_[c] = spans_.back().data();
   }
 }
 

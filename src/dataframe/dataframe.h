@@ -16,8 +16,8 @@ namespace safe {
 /// Columns are immutable and shared; DataFrame operations that rearrange
 /// columns (Select, Concat) are zero-copy, while row operations (Take,
 /// Slice) materialize new buffers. Column names are unique within a frame.
-/// Columns may be dense (fully resident) or chunked/spillable (see
-/// column.h); a frame may mix both.
+/// Columns may be resident or pooled/spillable (see column.h); a frame
+/// may mix both.
 class DataFrame {
  public:
   DataFrame() = default;
@@ -41,7 +41,7 @@ class DataFrame {
     return index_.find(name) != index_.end();
   }
 
-  /// True if any column is chunked (possibly spilled).
+  /// True if any column is pooled (possibly spilled).
   bool HasChunkedColumns() const;
 
   std::vector<std::string> ColumnNames() const;
@@ -51,13 +51,13 @@ class DataFrame {
   /// duplicate name fails.
   [[nodiscard]] Result<DataFrame> Select(const std::vector<size_t>& indices) const;
 
-  /// New frame with the given rows gathered (copies data; dense result).
+  /// New frame with the given rows gathered (copies data; resident result).
   DataFrame TakeRows(const std::vector<size_t>& rows) const;
 
-  /// New frame with rows [begin, end) (copies data; dense result).
+  /// New frame with rows [begin, end) (copies data; resident result).
   DataFrame SliceRows(size_t begin, size_t end) const;
 
-  /// Value at (row, col). On a chunked column this pins/unpins the row
+  /// Value at (row, col). On a pooled column this pins/unpins the row
   /// group — use FrameWindow in loops.
   double at(size_t row, size_t col) const { return columns_[col][row]; }
 
@@ -76,14 +76,14 @@ class DataFrame {
 
 /// \brief A pinned row window [lo, hi) over some columns of a frame.
 ///
-/// Pins the containing row group of each listed chunked column once at
+/// Pins the containing row group of each listed column once at
 /// construction (so the window must not straddle a group boundary —
 /// guaranteed when the window is a ParallelForChunks chunk whose grain
-/// divides the frame's group_rows) and exposes allocation-free random
-/// access inside the window. Dense columns need no pin; their pointer is
-/// the shared buffer offset by lo. Only the listed columns are pinned: a
-/// tree traversal reads its split features and nothing else, so the
-/// other columns' row groups stay where they are.
+/// divides the frame's group_rows; a resident column's one group covers
+/// every row) and exposes allocation-free random access inside the
+/// window. Only the listed columns are pinned: a tree traversal reads its
+/// split features and nothing else, so the other columns' row groups stay
+/// where they are.
 class FrameWindow {
  public:
   /// `columns` must be strictly ascending, which keeps the pool's fault
@@ -109,7 +109,7 @@ class FrameWindow {
 };
 
 /// \brief A supervised dataset: features plus a binary {0,1} label vector.
-/// Labels stay resident even for chunked frames — one double per row is
+/// Labels stay resident even for pooled frames — one double per row is
 /// the working set every training pass touches anyway.
 struct Dataset {
   DataFrame x;

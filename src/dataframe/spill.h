@@ -31,7 +31,7 @@ struct SpillPoolStats {
 
 /// \brief mmap-backed spill pool for immutable row-group payloads.
 ///
-/// Chunked columns (chunked.h) seal each row group into a pool; the pool
+/// Pooled columns (chunked.h) seal each row group into a pool; the pool
 /// keeps groups resident on the heap until the configured resident-bytes
 /// budget is exceeded, then evicts the **oldest unpinned** group to an
 /// anonymous temp file (created with mkstemp and unlinked immediately, so

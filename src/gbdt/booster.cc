@@ -85,7 +85,7 @@ double PredictTreeOnWindow(const RegressionTree& tree,
 /// in the ascending list `rows`, or for every row of `x` when `rows` is
 /// null. Rows go out in kPredictRowGrain chunks (the grain divides every
 /// legal row-group size), so each chunk's window pins one row group per
-/// chunked split column and traversal stays allocation-free; a chunk
+/// split column and traversal stays allocation-free; a chunk
 /// holding none of `rows` pins nothing. Each row is written by one task
 /// only, so the result is exact at any thread count.
 void AddTreeMargins(std::span<const RegressionTree> trees, const DataFrame& x,

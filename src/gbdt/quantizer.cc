@@ -50,33 +50,21 @@ Result<BinnedMatrix> FeatureQuantizer::Transform(const DataFrame& frame,
   out.edges = edges_;
   out.bins.resize(edges_.size());
   ParallelFor(pool, 0, edges_.size(), [&](size_t f) {
+    // Quantize one row group at a time into a bin vector stored like the
+    // feature (see BinnedMatrix).
     const Column& column = frame.column(f);
-    if (column.chunked()) {
-      // Stream: quantize one row group at a time into a chunked bin
-      // column sealed into the same pool (and budget) as the features.
-      const auto& chunks = *column.chunks();
-      ChunkedVectorBuilder<uint16_t> builder(chunks.pool(),
-                                             chunks.group_rows());
-      std::vector<uint16_t> scratch;
-      column.ForEachSpan(
-          0, column.size(),
-          [&](size_t, const double* values, size_t len) {
-            scratch.resize(len);
-            for (size_t i = 0; i < len; ++i) {
-              scratch[i] =
-                  static_cast<uint16_t>(edges_[f].BinIndex(values[i]));
-            }
-            builder.Append(scratch.data(), len);
-          });
-      out.bins[f] = BinnedColumn(builder.Finish());
-    } else {
-      const auto& values = column.values();
-      std::vector<uint16_t> bins(values.size());
-      for (size_t r = 0; r < values.size(); ++r) {
-        bins[r] = static_cast<uint16_t>(edges_[f].BinIndex(values[r]));
-      }
-      out.bins[f] = BinnedColumn(std::move(bins));
-    }
+    ChunkedVectorBuilder<uint16_t> builder(column.chunks()->pool(),
+                                           column.chunks()->group_rows());
+    std::vector<uint16_t> scratch;
+    column.ForEachSpan(
+        0, column.size(), [&](size_t, const double* values, size_t len) {
+          scratch.resize(len);
+          for (size_t i = 0; i < len; ++i) {
+            scratch[i] = static_cast<uint16_t>(edges_[f].BinIndex(values[i]));
+          }
+          builder.Append(scratch.data(), len);
+        });
+    out.bins[f] = builder.Finish();
   });
   return out;
 }

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -14,46 +13,16 @@
 namespace safe {
 namespace gbdt {
 
-/// \brief One feature's quantized bin indices, dense or row-group backed.
-///
-/// Mirrors Column's dual storage at uint16 width: dense is one contiguous
-/// vector, chunked is a ChunkedVector sealed into the same SpillPool as
-/// the source feature column (so quantized bins spill under the same
-/// resident budget as raw features). operator[] on a chunked column
-/// pins/unpins per element — hot loops use cursor().
-class BinnedColumn {
- public:
-  BinnedColumn() = default;
-  explicit BinnedColumn(std::vector<uint16_t> dense)
-      : dense_(std::move(dense)) {}
-  explicit BinnedColumn(std::shared_ptr<const ChunkedVector<uint16_t>> chunks)
-      : chunks_(std::move(chunks)) {}
-
-  size_t size() const { return chunks_ ? chunks_->size() : dense_.size(); }
-  bool chunked() const { return chunks_ != nullptr; }
-
-  uint16_t operator[](size_t r) const {
-    return chunks_ ? chunks_->At(r) : dense_[r];
-  }
-
-  /// Sequential-friendly reader over either storage (see ChunkedCursor).
-  ChunkedCursor<uint16_t> cursor() const {
-    return chunks_ ? ChunkedCursor<uint16_t>(chunks_.get())
-                   : ChunkedCursor<uint16_t>(dense_.data(), dense_.size());
-  }
-
- private:
-  std::vector<uint16_t> dense_;
-  std::shared_ptr<const ChunkedVector<uint16_t>> chunks_;
-};
-
 /// \brief A feature matrix quantized into per-feature histogram bins.
 ///
-/// bins[f][r] is the bin index of row r under feature f's edges; the last
-/// index (missing_bin) holds NaNs. Bin indices fit in uint16 because
-/// max_bins <= 65534.
+/// bins[f]->At(r) is the bin index of row r under feature f's edges; the
+/// last index (missing_bin) holds NaNs. Bin indices fit in uint16 because
+/// max_bins <= 65534. Each feature's bins are stored like the feature:
+/// sealed into the same SpillPool with the same group size (so quantized
+/// bins spill under the same resident budget as raw features), or
+/// resident. Hot loops read them through a ChunkedCursor.
 struct BinnedMatrix {
-  std::vector<BinnedColumn> bins;            // [feature][row]
+  std::vector<std::shared_ptr<const ChunkedVector<uint16_t>>> bins;
   std::vector<BinEdges> edges;               // per feature
   size_t num_rows = 0;
 

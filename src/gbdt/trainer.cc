@@ -59,7 +59,7 @@ NodeHistograms TreeTrainer::BuildHistograms(
     cells.assign(matrix_->num_cells(f), GradHistBin{});
     // Node row lists are ascending within each fixed chunk, so a cursor
     // re-pins each spilled row group at most once per pass.
-    ChunkedCursor<uint16_t> bins = matrix_->bins[f].cursor();
+    ChunkedCursor<uint16_t> bins(matrix_->bins[f].get());
     for (size_t r : rows) {
       GradHistBin& hb = cells[bins.At(r)];
       hb.grad += grad[r];
@@ -269,7 +269,7 @@ RegressionTree TreeTrainer::Train(const std::vector<double>& grad,
     }
 
     const size_t f = static_cast<size_t>(split.feature);
-    const BinnedColumn& split_bins = matrix_->bins[f];
+    const ChunkedVector<uint16_t>* split_bins = matrix_->bins[f].get();
     const size_t missing_bin = matrix_->edges[f].missing_bin();
 
     // Partition rows over fixed chunks; concatenating the per-chunk
@@ -287,7 +287,7 @@ RegressionTree TreeTrainer::Train(const std::vector<double>& grad,
           auto& left = left_parts[c];
           auto& right = right_parts[c];
           // Per-chunk cursor: each worker pins its own window.
-          ChunkedCursor<uint16_t> bins = split_bins.cursor();
+          ChunkedCursor<uint16_t> bins(split_bins);
           double g = 0.0;
           double h = 0.0;
           for (size_t i = lo; i < hi; ++i) {

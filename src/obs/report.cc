@@ -18,7 +18,7 @@ namespace obs {
 
 namespace {
 
-constexpr int kReportSchemaVersion = 2;
+constexpr int kReportSchemaVersion = 3;
 
 std::string FormatFixed(double value, int decimals) {
   char buf[64];
@@ -111,16 +111,38 @@ std::vector<SpanRecord> SpansFromTimelines(
   return sorted;
 }
 
+std::vector<SpanSummary> SummarizeSpans(
+    const std::vector<SpanRecord>& spans) {
+  std::map<std::string, SpanSummary> by_name;
+  for (const auto& span : spans) {
+    SpanSummary& summary = by_name[span.name];
+    summary.count += 1;
+    summary.total_ns += span.duration_ns;
+  }
+  std::vector<SpanSummary> out;
+  out.reserve(by_name.size());
+  for (auto& [name, summary] : by_name) {
+    summary.name = name;
+    out.push_back(std::move(summary));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const SpanSummary& a, const SpanSummary& b) {
+              if (a.total_ns != b.total_ns) return a.total_ns > b.total_ns;
+              return a.name < b.name;
+            });
+  return out;
+}
+
 JsonValue SpansToJson(const std::vector<SpanRecord>& spans) {
   JsonValue out = JsonValue::Array();
-  for (const auto& span : spans) {
+  for (const SpanSummary& summary : SummarizeSpans(spans)) {
+    const double total_us = static_cast<double>(summary.total_ns) / 1e3;
     JsonValue s = JsonValue::Object();
-    s.Set("name", JsonValue(span.name));
-    s.Set("start_us", JsonValue(static_cast<double>(span.start_ns) / 1e3));
-    s.Set("duration_us",
-          JsonValue(static_cast<double>(span.duration_ns) / 1e3));
-    s.Set("thread", JsonValue(static_cast<uint64_t>(span.thread_index)));
-    s.Set("depth", JsonValue(static_cast<uint64_t>(span.depth)));
+    s.Set("name", JsonValue(summary.name));
+    s.Set("count", JsonValue(summary.count));
+    s.Set("total_us", JsonValue(total_us));
+    s.Set("mean_us",
+          JsonValue(total_us / static_cast<double>(summary.count)));
     out.Append(std::move(s));
   }
   return out;
@@ -207,28 +229,12 @@ std::string RunReport::ToTable() const {
   }
 
   if (!spans_.empty()) {
-    // Aggregate the timeline by span name for a digestible summary.
-    struct Agg {
-      uint64_t count = 0;
-      uint64_t total_ns = 0;
-    };
-    std::map<std::string, Agg> by_name;
-    for (const auto& span : spans_) {
-      Agg& agg = by_name[span.name];
-      agg.count += 1;
-      agg.total_ns += span.duration_ns;
-    }
-    std::vector<std::pair<std::string, Agg>> rows(by_name.begin(),
-                                                  by_name.end());
-    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-      return a.second.total_ns > b.second.total_ns;
-    });
     out << "spans (count / total ms / mean ms):\n";
-    for (const auto& [name, agg] : rows) {
-      const double total_ms = static_cast<double>(agg.total_ns) / 1e6;
-      out << "  " << name << " = " << agg.count << " / "
+    for (const SpanSummary& summary : SummarizeSpans(spans_)) {
+      const double total_ms = static_cast<double>(summary.total_ns) / 1e6;
+      out << "  " << summary.name << " = " << summary.count << " / "
           << FormatFixed(total_ms, 2) << " / "
-          << FormatFixed(total_ms / static_cast<double>(agg.count), 3)
+          << FormatFixed(total_ms / static_cast<double>(summary.count), 3)
           << "\n";
     }
   }

@@ -34,9 +34,21 @@ struct SpanRecord {
 std::vector<SpanRecord> SpansFromTimelines(
     const std::vector<ThreadTimeline>& timelines);
 
-/// \brief Structured end-of-run report: metrics + span timeline + caller
+/// \brief All spans of one name: how many and their summed duration.
+struct SpanSummary {
+  std::string name;
+  uint64_t count = 0;
+  uint64_t total_ns = 0;
+};
+
+/// Spans aggregated by name, largest total first (equal totals by name).
+std::vector<SpanSummary> SummarizeSpans(const std::vector<SpanRecord>& spans);
+
+/// \brief Structured end-of-run report: metrics + span summary + caller
 /// sections (e.g. SAFE's per-iteration funnel diagnostics), serializable
-/// to JSON (machines) and a fixed-width table (humans).
+/// to JSON (machines) and a fixed-width table (humans). The span timeline
+/// itself belongs in the Chrome trace that arming the recorder writes;
+/// the report keeps only its per-name summary.
 ///
 /// Typical use:
 ///   obs::RunReport report("safe_cli fit");
@@ -51,10 +63,10 @@ class RunReport {
   void set_wall_seconds(double seconds) { wall_seconds_ = seconds; }
 
   /// Snapshots the global MetricsRegistry and FlightRecorder into the
-  /// report: the recorder's timelines become the span list and a
-  /// `flight_recorder` summary section. The recorder holds events only
-  /// while armed (--trace, `safe_cli trace`, tests), so a report of an
-  /// unarmed run has metrics and no spans.
+  /// report: the recorder's timelines become the span list (summarized
+  /// by name on output) and a `flight_recorder` summary section. The
+  /// recorder holds events only while armed (--trace, `safe_cli trace`,
+  /// tests), so a report of an unarmed run has metrics and no spans.
   void CaptureTelemetry();
 
   void SetMetrics(MetricsSnapshot metrics) { metrics_ = std::move(metrics); }
@@ -90,8 +102,7 @@ class RunReport {
 /// "histograms": {name: {count, sum, buckets: [{le, count}...]}}}.
 JsonValue MetricsToJson(const MetricsSnapshot& metrics);
 
-/// Span list as a JSON array ordered by start time; times in
-/// microseconds relative to the trace epoch.
+/// SummarizeSpans as a JSON array of {name, count, total_us, mean_us}.
 JsonValue SpansToJson(const std::vector<SpanRecord>& spans);
 
 }  // namespace obs

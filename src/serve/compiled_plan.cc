@@ -48,55 +48,6 @@ OpCode LookupOpCode(const std::string& name) {
   return OpCode::kGeneric;
 }
 
-/// True when `v` holds a non-negative integer (a count stored as double).
-bool IsCount(double v) {
-  return std::isfinite(v) && v >= 0.0 && v == std::floor(v) &&
-         v <= 1e9;
-}
-
-/// Validates the fitted-param layout a specialized opcode will index into
-/// at Execute time. The interpreted path trusts these layouts blindly at
-/// Apply time; compiling is the moment to reject a malformed plan instead
-/// of reading out of bounds per row.
-Status ValidateParams(OpCode code, const std::string& op_name,
-                      const std::vector<double>& params) {
-  auto fail = [&](const std::string& what) {
-    return Status::InvalidArgument("compile: operator '" + op_name + "': " +
-                                   what);
-  };
-  switch (code) {
-    case OpCode::kZscore:
-    case OpCode::kRidge:
-      if (params.size() != 2) return fail("expected 2 params");
-      return Status::OK();
-    case OpCode::kGroupBy: {
-      if (params.empty() || !IsCount(params[0])) {
-        return fail("missing/invalid edge count");
-      }
-      const size_t n = static_cast<size_t>(params[0]);
-      // Layout: [n, edge_0..edge_{n-1}, agg_bin_0..agg_bin_{n+1}].
-      if (params.size() != 1 + n + (n + 2)) {
-        return fail("param layout does not match edge count");
-      }
-      return Status::OK();
-    }
-    case OpCode::kKrr: {
-      if (params.size() < 2 || !IsCount(params[0]) || params[0] < 1.0) {
-        return fail("missing/invalid landmark count");
-      }
-      const size_t m = static_cast<size_t>(params[0]);
-      if (params.size() != 2 + 2 * m) {
-        return fail("param layout does not match landmark count");
-      }
-      return Status::OK();
-    }
-    default:
-      // Stateless opcodes ignore params; discretize treats every param as
-      // an edge, so any size is a valid (possibly empty) edge list.
-      return Status::OK();
-  }
-}
-
 }  // namespace
 
 Result<CompiledPlan> CompiledPlan::Compile(const FeaturePlan& plan,
@@ -114,11 +65,14 @@ Result<CompiledPlan> CompiledPlan::Compile(const FeaturePlan& plan,
   for (size_t g = 0; g < plan.generated().size(); ++g) {
     const GeneratedFeature& feature = plan.generated()[g];
     SAFE_ASSIGN_OR_RETURN(auto op, registry.Find(feature.op));
-    if (parent_slots[g].size() != op->arity()) {
-      return Status::InvalidArgument(
-          "compile: feature '" + feature.name + "' has " +
-          std::to_string(parent_slots[g].size()) + " parents, operator '" +
-          feature.op + "' expects " + std::to_string(op->arity()));
+    // The specialized opcodes index into the params with the layout the
+    // operator checks, so compiling rejects a malformed plan instead of
+    // reading out of bounds per row.
+    const Status applicable =
+        CheckApplicable(*op, parent_slots[g].size(), feature.params);
+    if (!applicable.ok()) {
+      return Status::InvalidArgument("compile: feature '" + feature.name +
+                                     "': " + applicable.message());
     }
     Instruction inst;
     inst.code = LookupOpCode(feature.op);
@@ -133,8 +87,6 @@ Result<CompiledPlan> CompiledPlan::Compile(const FeaturePlan& plan,
       compiled.generic_ops_.push_back(std::move(op));
       compiled.generic_params_.push_back(feature.params);
     } else {
-      SAFE_RETURN_NOT_OK(ValidateParams(inst.code, feature.op,
-                                        feature.params));
       inst.param_begin = static_cast<uint32_t>(compiled.params_.size());
       inst.param_count = static_cast<uint32_t>(feature.params.size());
       compiled.params_.insert(compiled.params_.end(), feature.params.begin(),

@@ -35,24 +35,18 @@ const char* PearsonBandName(PearsonBand band) {
 namespace {
 
 /// Walking read head over one column: Seek(pos) yields a contiguous
-/// window starting at pos and ending at the column's next span boundary
-/// (the whole column when dense).
+/// window starting at pos and ending at the column's next group boundary
+/// (the whole column when resident).
 struct ColumnWalker {
-  explicit ColumnWalker(const Column& c) : col(c) {}
+  explicit ColumnWalker(const Column& c) : chunks(*c.chunks()) {}
 
   void Seek(size_t pos) {
-    if (!col.chunked()) {
-      ptr = col.values().data() + pos;
-      end = col.size();
-      return;
-    }
-    const ChunkedVector<double>& chunks = *col.chunks();
     span = chunks.PinSpan(pos, chunks.GroupEnd(chunks.GroupOf(pos)));
     ptr = span.data();
     end = span.end();
   }
 
-  const Column& col;
+  const ChunkedVector<double>& chunks;
   ChunkedVector<double>::Span span;
   const double* ptr = nullptr;  ///< first value of the current window
   size_t end = 0;               ///< row index one past the window
@@ -81,7 +75,7 @@ double PearsonCorrelation(const Column& a, const Column& b) {
   SAFE_CHECK(a.size() == b.size());
   // Two-pass: means over paired non-missing rows, then moments. Each
   // pass accumulates in ascending row order regardless of storage, so
-  // the arithmetic matches the dense overload bit for bit.
+  // the arithmetic matches the vector overload bit for bit.
   double sum_a = 0.0;
   double sum_b = 0.0;
   size_t n = 0;

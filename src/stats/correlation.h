@@ -32,8 +32,8 @@ double PearsonCorrelation(const std::vector<double>& a,
 
 /// Storage-agnostic overload: zip-walks the two columns span by span in
 /// ascending row order, so both passes accumulate in exactly the order
-/// the dense overload does — bit-identical results on the same data,
-/// dense, chunked, or mixed.
+/// the vector overload does — bit-identical results on the same data,
+/// resident, pooled, or mixed.
 double PearsonCorrelation(const Column& a, const Column& b);
 
 /// Dense symmetric correlation matrix of all frame columns, with the

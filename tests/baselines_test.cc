@@ -55,8 +55,8 @@ TEST(OrigEngineerTest, IdentityPlan) {
   ASSERT_TRUE(z.ok());
   EXPECT_EQ(z->num_columns(), split.test.x.num_columns());
   for (size_t c = 0; c < z->num_columns(); ++c) {
-    EXPECT_EQ(z->column(c).data().get(),
-              split.test.x.column(c).data().get());  // zero-copy identity
+    EXPECT_EQ(&z->column(c).values(),
+              &split.test.x.column(c).values());  // zero-copy identity
   }
 }
 

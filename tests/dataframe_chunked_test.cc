@@ -105,6 +105,78 @@ TEST(ChunkedVectorTest, SpanAndAtAgreeUnderSpill) {
   EXPECT_GT(pool->stats().evictions, 0u);
 }
 
+/// True when `got` holds exactly the bits of `want` (NaN payloads and
+/// the sign of zero included).
+bool SameBits(const double* got, const std::vector<double>& want) {
+  return std::memcmp(got, want.data(), want.size() * sizeof(double)) == 0;
+}
+
+TEST(ChunkedVectorTest, ResidentVectorIsOneGroupWithTheVectorsBits) {
+  const size_t kRows = 4096 * 2 + 123;
+  const std::vector<double> values = AdversarialValues(kRows, 17);
+  const ChunkedVector<double> chunks(values);
+  EXPECT_EQ(chunks.pool(), nullptr);
+  ASSERT_NE(chunks.resident(), nullptr);
+  EXPECT_TRUE(SameBits(chunks.resident()->data(), values));
+  EXPECT_EQ(chunks.size(), kRows);
+  EXPECT_EQ(chunks.num_groups(), 1u);
+  EXPECT_TRUE(ValidRowGroupRows(chunks.group_rows()));
+  EXPECT_EQ(chunks.group_rows(), 4096u * 4);  // bit_ceil(kRows)
+  EXPECT_EQ(chunks.GroupEnd(0), kRows);
+  EXPECT_EQ(ChunkedVector<double>(std::vector<double>(10)).group_rows(),
+            kMinRowGroupRows);
+
+  const ChunkedVector<double>::Span whole = chunks.PinSpan(0, kRows);
+  EXPECT_EQ(whole.size(), kRows);
+  EXPECT_TRUE(SameBits(whole.data(), values));
+  const ChunkedVector<double>::Span tail = chunks.PinSpan(5000, kRows);
+  EXPECT_EQ(tail.begin(), 5000u);
+  EXPECT_EQ(std::memcmp(tail.data(), values.data() + 5000,
+                        (kRows - 5000) * sizeof(double)),
+            0);
+
+  size_t calls = 0;
+  chunks.ForEachSpan(0, kRows,
+                     [&](size_t base, const double* data, size_t len) {
+                       ++calls;
+                       EXPECT_EQ(base, 0u);
+                       EXPECT_EQ(len, kRows);
+                       EXPECT_TRUE(SameBits(data, values));
+                     });
+  EXPECT_EQ(calls, 1u);
+
+  std::vector<double> copied(kRows);
+  chunks.CopyRange(0, kRows, copied.data());
+  EXPECT_TRUE(SameBits(copied.data(), values));
+
+  ChunkedCursor<double> cursor(&chunks);
+  for (size_t i = 0; i < kRows; ++i) {
+    const double direct = chunks.At(i);
+    const double via_cursor = cursor.At(i);
+    ASSERT_EQ(std::memcmp(&direct, &values[i], sizeof(double)), 0) << i;
+    ASSERT_EQ(std::memcmp(&via_cursor, &values[i], sizeof(double)), 0) << i;
+  }
+}
+
+TEST(ChunkedVectorTest, PoolLessBuilderFinishesResident) {
+  const std::vector<double> values = AdversarialValues(10000, 29);
+  ChunkedVectorBuilder<double> builder;
+  builder.Append(values.data(), 3);
+  builder.Append(values.data() + 3, 4093);
+  builder.Push(values[4096]);
+  builder.Append(values.data() + 4097, values.size() - 4097);
+  EXPECT_EQ(builder.size(), values.size());
+  auto chunks = builder.Finish();
+  EXPECT_EQ(chunks->pool(), nullptr);
+  ASSERT_NE(chunks->resident(), nullptr);
+  EXPECT_EQ(chunks->size(), values.size());
+  EXPECT_EQ(chunks->num_groups(), 1u);
+  EXPECT_TRUE(SameBits(chunks->resident()->data(), values));
+  std::vector<double> copied(values.size());
+  chunks->CopyRange(0, values.size(), copied.data());
+  EXPECT_TRUE(SameBits(copied.data(), values));
+}
+
 TEST(ChunkedVectorTest, ValidRowGroupRows) {
   EXPECT_TRUE(ValidRowGroupRows(4096));
   EXPECT_TRUE(ValidRowGroupRows(65536));

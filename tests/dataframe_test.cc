@@ -26,7 +26,7 @@ TEST(ColumnTest, RenamedSharesBuffer) {
   Column c("x", {1.0, 2.0});
   Column r = c.Renamed("y");
   EXPECT_EQ(r.name(), "y");
-  EXPECT_EQ(r.data().get(), c.data().get());
+  EXPECT_EQ(&r.values(), &c.values());
 }
 
 TEST(ColumnTest, CountMissing) {
@@ -69,7 +69,7 @@ TEST(DataFrameTest, SelectIsZeroCopy) {
   ASSERT_TRUE(sel.ok());
   EXPECT_EQ(sel->num_columns(), 2u);
   EXPECT_EQ(sel->column(0).name(), "c");
-  EXPECT_EQ(sel->column(0).data().get(), f.column(2).data().get());
+  EXPECT_EQ(&sel->column(0).values(), &f.column(2).values());
 }
 
 TEST(DataFrameTest, SelectOutOfRangeFails) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "src/common/random.h"
+#include "src/dataframe/spill.h"
 
 namespace safe {
 namespace gbdt {
@@ -42,8 +43,40 @@ TEST(QuantizerTest, BinsAreConsistentWithEdges) {
   ASSERT_TRUE(matrix.ok());
   for (size_t c = 0; c < 2; ++c) {
     for (size_t r = 0; r < 300; ++r) {
-      EXPECT_EQ(matrix->bins[c][r],
+      EXPECT_EQ(matrix->bins[c]->At(r),
                 q->edges()[c].BinIndex(f.column(c)[r]));
+    }
+  }
+}
+
+TEST(QuantizerTest, BinsAreStoredLikeTheirFeature) {
+  const size_t kRows = 4096 * 2 + 500;  // a partial final group
+  const DataFrame frame = MakeFrame(kRows, 3, 4);
+  auto q = FeatureQuantizer::Fit(frame, 32);
+  ASSERT_TRUE(q.ok());
+  auto resident = q->Transform(frame);
+  ASSERT_TRUE(resident.ok());
+
+  auto pool = SpillPool::Create(SpillPool::Options{});
+  ASSERT_TRUE(pool.ok());
+  const DataFrame pooled_frame = ToChunkedFrame(frame, *pool, 4096);
+  auto pooled = q->Transform(pooled_frame);
+  ASSERT_TRUE(pooled.ok());
+
+  for (size_t c = 0; c < 3; ++c) {
+    const ChunkedVector<uint16_t>& dense = *resident->bins[c];
+    const ChunkedVector<uint16_t>& chunked = *pooled->bins[c];
+    EXPECT_EQ(dense.pool(), nullptr);
+    ASSERT_NE(dense.resident(), nullptr);
+    EXPECT_EQ(dense.size(), kRows);
+    EXPECT_EQ(chunked.pool(), *pool);
+    EXPECT_EQ(chunked.resident(), nullptr);
+    EXPECT_EQ(chunked.group_rows(), 4096u);
+    EXPECT_EQ(chunked.num_groups(), 3u);
+    ASSERT_EQ(chunked.size(), kRows);
+    ChunkedCursor<uint16_t> cursor(&chunked);
+    for (size_t r = 0; r < kRows; ++r) {
+      ASSERT_EQ(cursor.At(r), (*dense.resident())[r]) << c << "," << r;
     }
   }
 }
@@ -56,7 +89,7 @@ TEST(QuantizerTest, MissingGoesToMissingBin) {
   ASSERT_TRUE(q.ok());
   auto matrix = q->Transform(f);
   ASSERT_TRUE(matrix.ok());
-  EXPECT_EQ(matrix->bins[0][1], q->edges()[0].missing_bin());
+  EXPECT_EQ(matrix->bins[0]->At(1), q->edges()[0].missing_bin());
 }
 
 TEST(QuantizerTest, AllMissingColumnGetsSingleBin) {
@@ -95,8 +128,8 @@ TEST(QuantizerTest, TransformAppliesTrainEdgesToNewData) {
   ASSERT_TRUE(test.AddColumn(Column("f0", {-100.0, 0.0, 100.0})).ok());
   auto matrix = q->Transform(test);
   ASSERT_TRUE(matrix.ok());
-  EXPECT_EQ(matrix->bins[0][0], 0u);  // far-left value in first bin
-  EXPECT_EQ(matrix->bins[0][2], q->edges()[0].edges.size());  // far right
+  EXPECT_EQ(matrix->bins[0]->At(0), 0u);  // far-left value in first bin
+  EXPECT_EQ(matrix->bins[0]->At(2), q->edges()[0].edges.size());  // far right
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ TEST(RunReportTest, GoldenJson) {
   RunReport report = MakeFixtureReport();
   const std::string expected = R"({
   "tool": "unit_test",
-  "schema_version": 2,
+  "schema_version": 3,
   "wall_seconds": 1.5,
   "metrics": {
     "counters": {
@@ -79,29 +79,57 @@ TEST(RunReportTest, GoldenJson) {
   "spans": [
     {
       "name": "engine.fit",
-      "start_us": 1,
-      "duration_us": 9,
-      "thread": 0,
-      "depth": 0
+      "count": 1,
+      "total_us": 9,
+      "mean_us": 9
     },
     {
       "name": "engine.iteration",
-      "start_us": 2,
-      "duration_us": 7,
-      "thread": 0,
-      "depth": 1
+      "count": 1,
+      "total_us": 7,
+      "mean_us": 7
     },
     {
       "name": "engine.mine_combinations",
-      "start_us": 2.5,
-      "duration_us": 1,
-      "thread": 0,
-      "depth": 2
+      "count": 1,
+      "total_us": 1,
+      "mean_us": 1
     }
   ]
 }
 )";
   EXPECT_EQ(report.ToJsonString(), expected);
+}
+
+TEST(RunReportTest, SpanSummaryAggregatesByNameLargestTotalFirst) {
+  std::vector<SpanRecord> spans;
+  spans.push_back({"pool.block", 0, 2000, 0, 1});
+  spans.push_back({"engine.fit", 0, 5000, 0, 0});
+  spans.push_back({"pool.block", 100, 4000, 1, 1});
+  spans.push_back({"b.tie", 0, 1000, 0, 2});
+  spans.push_back({"a.tie", 0, 1000, 0, 2});
+  const std::vector<SpanSummary> summary = SummarizeSpans(spans);
+  ASSERT_EQ(summary.size(), 4u);
+  EXPECT_EQ(summary[0].name, "pool.block");
+  EXPECT_EQ(summary[0].count, 2u);
+  EXPECT_EQ(summary[0].total_ns, 6000u);
+  EXPECT_EQ(summary[1].name, "engine.fit");
+  EXPECT_EQ(summary[2].name, "a.tie");  // equal totals keep name order
+  EXPECT_EQ(summary[3].name, "b.tie");
+
+  RunReport report("summary_test");
+  report.SetSpans(spans);
+  const JsonValue json = report.ToJson();
+  const JsonValue* section = json.Find("spans");
+  ASSERT_NE(section, nullptr);
+  ASSERT_EQ(section->items().size(), 4u);
+  const JsonValue& block = section->items()[0];
+  EXPECT_EQ(block.Find("name")->string_value(), "pool.block");
+  EXPECT_DOUBLE_EQ(block.Find("count")->number_value(), 2.0);
+  EXPECT_DOUBLE_EQ(block.Find("total_us")->number_value(), 6.0);
+  EXPECT_DOUBLE_EQ(block.Find("mean_us")->number_value(), 3.0);
+  EXPECT_NE(report.ToTable().find("pool.block = 2 / 0.01 / 0.003"),
+            std::string::npos);
 }
 
 TEST(RunReportTest, JsonRoundTrip) {

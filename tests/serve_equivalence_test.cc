@@ -230,6 +230,33 @@ TEST(CompiledPlanTest, RejectsWrongRowWidth) {
   EXPECT_TRUE(compiled->ExecuteRow({1.0, 2.0}).ok());
 }
 
+/// Plans that deserialize but whose operators cannot run on what they
+/// store: every path that applies them (row, frame, compiled) must say
+/// so instead of reading past the parents or the params.
+TEST(CompiledPlanTest, MalformedOperatorInputsRejectedByEveryPath) {
+  const std::string one_parent_add =
+      "feature_plan v1\ninputs 2\na\nb\ngenerated 1\ng\nadd 1 0\na\n"
+      "selected 1\ng\n";
+  const std::string paramless_zscore =
+      "feature_plan v1\ninputs 2\na\nb\ngenerated 1\ng\nzscore 1 0\na\n"
+      "selected 1\ng\n";
+  DataFrame frame;
+  ASSERT_TRUE(frame.AddColumn(Column("a", {1.0, 2.0, 3.0})).ok());
+  ASSERT_TRUE(frame.AddColumn(Column("b", {4.0, 5.0, 6.0})).ok());
+  for (const std::string& text : {one_parent_add, paramless_zscore}) {
+    auto plan = FeaturePlan::Deserialize(text);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto row = plan->TransformRow({1.0, 4.0});
+    EXPECT_EQ(row.status().code(), StatusCode::kInvalidArgument) << text;
+    auto transformed = plan->Transform(frame);
+    EXPECT_EQ(transformed.status().code(), StatusCode::kInvalidArgument)
+        << text;
+    auto compiled = serve::CompiledPlan::Compile(*plan);
+    EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument)
+        << text;
+  }
+}
+
 /// Full pipeline on a seed-randomized dataset: SAFE fit, GBDT on the
 /// engineered features, then every row must score bit-identically
 /// through the fused path.

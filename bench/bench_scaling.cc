@@ -20,8 +20,6 @@
 //        --external_memory [--budget_mb=N --rows=N --features=N
 //                           --gate=bench/baselines/scaling.json]
 
-#include <sys/resource.h>
-
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -36,6 +34,7 @@
 #include "src/data/synthetic.h"
 #include "src/dataframe/spill.h"
 #include "src/gbdt/booster.h"
+#include "src/obs/metrics.h"
 #include "src/stats/correlation.h"
 #include "src/stats/iv.h"
 
@@ -203,14 +202,6 @@ obs::JsonValue EngineThreadSweep(const Flags& flags, bool quick) {
 // ---------------------------------------------------------------------------
 // --external_memory mode
 // ---------------------------------------------------------------------------
-
-size_t PeakRssBytes() {
-  struct rusage usage;
-  std::memset(&usage, 0, sizeof(usage));
-  getrusage(RUSAGE_SELF, &usage);
-  // ru_maxrss is KiB on Linux.
-  return static_cast<size_t>(usage.ru_maxrss) * 1024;
-}
 
 /// Ceilings for the external-memory run, committed in
 /// bench/baselines/scaling.json and enforced by the bench-scaling CI job.
@@ -437,7 +428,7 @@ int ExternalMemoryMain(const Flags& flags, bool quick) {
 
   const double external_rows_per_s =
       pipeline_seconds > 0.0 ? rows / pipeline_seconds : 0.0;
-  const size_t peak_rss = PeakRssBytes();
+  const uint64_t peak_rss = obs::PeakRssBytes();
   const SpillPoolStats spill = (*pool)->stats();
   std::cout << "pipeline: " << FormatDouble(pipeline_seconds, 2) << " s ("
             << FormatDouble(external_rows_per_s, 0) << " rows/s), peak RSS "

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 #include <unordered_set>
+#include <utility>
 
 #include "src/common/random.h"
 #include "src/common/stopwatch.h"
@@ -14,6 +15,7 @@
 #include "src/obs/flight_recorder.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
+#include "src/stats/iv.h"
 
 namespace safe {
 
@@ -78,6 +80,8 @@ struct EngineCounters {
   obs::Counter* selected;
   obs::Counter* generation_tasks;
   obs::Gauge* n_threads;
+  obs::Counter* spill_read_bytes;
+  obs::Counter* spill_write_bytes;
 
   static const EngineCounters& Get() {
     static const EngineCounters counters = [] {
@@ -92,10 +96,21 @@ struct EngineCounters {
                                 "engine.features_after_redundancy"),
                             registry->counter("engine.features_selected"),
                             registry->counter("engine.generation_tasks"),
-                            registry->gauge("engine.n_threads")};
+                            registry->gauge("engine.n_threads"),
+                            registry->counter("dataframe.spill.read_bytes"),
+                            registry->counter("dataframe.spill.write_bytes")};
     }();
     return counters;
   }
+};
+
+/// Where a stage began: its offset into the iteration and the process
+/// counters its StageTiming reports the change of.
+struct StageStart {
+  double seconds = 0.0;
+  double cpu_seconds = 0.0;
+  uint64_t spill_read_bytes = 0;
+  uint64_t spill_write_bytes = 0;
 };
 
 /// One candidate generated column: a (combination, operator, ordering)
@@ -111,9 +126,14 @@ struct GenerationTask {
   std::string name;
   std::vector<std::string> parent_names;
 
-  // Filled by the parallel evaluation phase.
+  // Filled by the parallel evaluation phase. A task that yields a usable
+  // column keeps its recipe (params) and IV; only a column that is built
+  // — its IV clears α, or the degenerate branch rebuilds it — is stored
+  // and gets validation values.
   bool ok = false;
   std::vector<double> params;
+  double iv = 0.0;
+  bool built = false;
   Column train_column;
   std::vector<double> valid_values;
 };
@@ -142,6 +162,10 @@ obs::JsonValue IterationDiagnosticsToJson(
       s.Set("stage", obs::JsonValue(stage.stage));
       s.Set("start_seconds", obs::JsonValue(stage.start_seconds));
       s.Set("seconds", obs::JsonValue(stage.seconds));
+      s.Set("cpu_seconds", obs::JsonValue(stage.cpu_seconds));
+      s.Set("spill_read_bytes", obs::JsonValue(stage.spill_read_bytes));
+      s.Set("spill_write_bytes", obs::JsonValue(stage.spill_write_bytes));
+      s.Set("peak_rss_bytes", obs::JsonValue(stage.peak_rss_bytes));
       stages.Append(std::move(s));
     }
     entry.Set("stages", std::move(stages));
@@ -224,16 +248,26 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
     SAFE_FR_SCOPE("engine.iteration");
     Stopwatch iter_watch;
     IterationDiagnostics diag;
-    // Closes the stage opened at `start` and appends its timing; stages
+    const EngineCounters& counters = EngineCounters::Get();
+    auto start_stage = [&] {
+      return StageStart{iter_watch.ElapsedSeconds(), obs::ProcessCpuSeconds(),
+                        counters.spill_read_bytes->value(),
+                        counters.spill_write_bytes->value()};
+    };
+    // Closes the stage opened at `start` and appends its record; stages
     // are sequential, so start offsets are monotone within the iteration.
-    auto record_stage = [&](const char* stage, double start) {
-      diag.stages.push_back(
-          StageTiming{stage, start, iter_watch.ElapsedSeconds() - start});
+    auto record_stage = [&](const char* stage, const StageStart& start) {
+      diag.stages.push_back(StageTiming{
+          stage, start.seconds, iter_watch.ElapsedSeconds() - start.seconds,
+          obs::ProcessCpuSeconds() - start.cpu_seconds,
+          counters.spill_read_bytes->value() - start.spill_read_bytes,
+          counters.spill_write_bytes->value() - start.spill_write_bytes,
+          obs::PeakRssBytes()});
     };
 
     // -------------------------------------------------- mine combinations
     std::vector<FeatureCombination> combos;
-    const double mine_start = iter_watch.ElapsedSeconds();
+    const StageStart mine_start = start_stage();
     {
     SAFE_FR_SCOPE("engine.mine_combinations");
     if (params_.strategy == MiningStrategy::kTreePaths ||
@@ -293,16 +327,39 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
 
     // -------------------------------------------------- generate features
     std::vector<GeneratedFeature> iteration_features;
-    DataFrame generated_train;
-    DataFrame generated_valid;
-    const double generate_start = iter_watch.ElapsedSeconds();
+    std::vector<GenerationTask> tasks;
+    // Lends the parents of `task` in `frame` to `loan`.
+    auto lend = [](const GenerationTask& task, const DataFrame& frame,
+                   ColumnLoan* loan) {
+      for (int f : task.ordering) {
+        loan->Lend(frame.column(static_cast<size_t>(f)));
+      }
+    };
+    // Builds a task's column from its training values: stores it like its
+    // parents and applies the operator to the validation parents. False
+    // when the validation side fails, which leaves the task unbuilt.
+    auto build = [&](GenerationTask& task, std::vector<double> values,
+                     const ColumnLoan& train_parents) {
+      task.train_column =
+          train_parents.StoreLike(Column(task.name, std::move(values)));
+      if (has_valid) {
+        ColumnLoan valid_parents;
+        lend(task, current_valid.x, &valid_parents);
+        auto valid_values =
+            ApplyOperator(*task.op, task.params, valid_parents.vectors());
+        if (!valid_values.ok()) return false;
+        task.valid_values = std::move(*valid_values);
+      }
+      task.built = true;
+      return true;
+    };
+    const StageStart generate_start = start_stage();
     {
     SAFE_FR_SCOPE("engine.generate_features");
     // Enumerate candidate columns serially in combination order (the
     // order a serial run would generate them in), evaluate each one as
-    // an independent pool task, then assemble survivors in enumeration
-    // order — see GenerationTask.
-    std::vector<GenerationTask> tasks;
+    // an independent pool task, then record them in enumeration order —
+    // see GenerationTask.
     for (const auto& combo : combos) {
       for (const auto& op : operators) {
         if (op->arity() != combo.features.size()) continue;
@@ -328,86 +385,130 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
         }
       }
     }
-    EngineCounters::Get().generation_tasks->Increment(tasks.size());
+    counters.generation_tasks->Increment(tasks.size());
 
-    ParallelFor(pool, 0, tasks.size(), [&](size_t t) {
-      const uint64_t start_ns = obs::NowNanos();
-      GenerationTask& task = tasks[t];
-      ColumnLoan train_parents;
-      ColumnLoan valid_parents;
-      for (int f : task.ordering) {
-        train_parents.Lend(current.x.column(static_cast<size_t>(f)));
-        if (has_valid) {
-          valid_parents.Lend(current_valid.x.column(static_cast<size_t>(f)));
+    // Alg. 3 runs inside each task, on the buffer the operator wrote, and
+    // only a column whose IV clears α is built. Each worker takes one
+    // contiguous block of tasks (ParallelFor's static split) and reuses
+    // one output buffer across it, so a dropped column's pages go to the
+    // next task instead of back to the allocator.
+    const size_t workers = engine_pool.num_threads();
+    const size_t block = (tasks.size() + workers - 1) / workers;
+    ParallelForChunks(pool, 0, tasks.size(), block,
+                      [&](size_t, size_t lo, size_t hi) {
+      std::vector<double> values;
+      for (size_t t = lo; t < hi; ++t) {
+        const uint64_t start_ns = obs::NowNanos();
+        GenerationTask& task = tasks[t];
+        ColumnLoan train_parents;
+        lend(task, current.x, &train_parents);
+        // Failures here (unfittable params, inapplicable operator,
+        // constant or all-missing output) simply leave the task !ok —
+        // the serial code skipped those columns the same way.
+        auto params_result = task.op->FitParams(train_parents.vectors());
+        if (!params_result.ok()) continue;
+        if (!ApplyOperatorInto(*task.op, *params_result,
+                               train_parents.vectors(), &values)
+                 .ok()) {
+          continue;
         }
+        if (IsConstant(values)) continue;  // carries no information
+        if (CountMissing(values) == values.size()) continue;
+        task.params = std::move(*params_result);
+        task.iv = FilterIv(values, current.labels(), params_.iv_bins);
+        // A dropped task never applies its validation side: after the
+        // training side succeeded, that could fail only on arity, params
+        // or unequal parent lengths, none of which differ there.
+        task.ok = true;
+        if (task.iv > params_.iv_threshold) {
+          task.ok = build(task, std::exchange(values, {}), train_parents);
+        }
+        obs::PerThreadHistogram("engine.generate_us",
+                                obs::DefaultLatencyBucketsUs())
+            ->Observe(static_cast<double>(obs::NowNanos() - start_ns) / 1e3);
       }
-      // Failures here (unfittable params, inapplicable operator,
-      // constant or all-missing output) simply leave the task !ok — the
-      // serial code skipped those columns the same way.
-      auto params_result = task.op->FitParams(train_parents.vectors());
-      if (!params_result.ok()) return;
-      auto values_result =
-          ApplyOperator(*task.op, *params_result, train_parents.vectors());
-      if (!values_result.ok()) return;
-      Column column(task.name, std::move(*values_result));
-      if (column.IsConstant()) return;  // carries no information
-      if (column.CountMissing() == column.size()) return;
-      task.train_column = train_parents.StoreLike(std::move(column));
-      if (has_valid) {
-        auto valid_values =
-            ApplyOperator(*task.op, *params_result, valid_parents.vectors());
-        if (!valid_values.ok()) return;
-        task.valid_values = std::move(*valid_values);
-      }
-      task.params = std::move(*params_result);
-      task.ok = true;
-      obs::PerThreadHistogram("engine.generate_us",
-                              obs::DefaultLatencyBucketsUs())
-          ->Observe(static_cast<double>(obs::NowNanos() - start_ns) / 1e3);
     });
 
+    // Every usable column counts as generated and keeps its recipe, built
+    // or not, so later iterations deduplicate against it.
     for (GenerationTask& task : tasks) {
       if (!task.ok) continue;
-      if (has_valid) {
-        SAFE_RETURN_NOT_OK(generated_valid.AddColumn(
-            Column(task.name, std::move(task.valid_values))));
-      }
-      SAFE_RETURN_NOT_OK(
-          generated_train.AddColumn(std::move(task.train_column)));
       known_names.insert(task.name);
       GeneratedFeature feature;
-      feature.name = std::move(task.name);
+      feature.name = task.name;
       feature.op = task.op->name();
       feature.parents = std::move(task.parent_names);
-      feature.params = std::move(task.params);
+      feature.params = task.params;
       iteration_features.push_back(std::move(feature));
     }
     }
     record_stage("generate_features", generate_start);
-    diag.num_generated = generated_train.num_columns();
+    diag.num_generated = iteration_features.size();
 
     // -------------------------------------------------- candidate pool
-    const double pool_start = iter_watch.ElapsedSeconds();
-    SAFE_ASSIGN_OR_RETURN(DataFrame candidate_frame,
-                          current.x.Concat(generated_train));
-    diag.num_candidates = candidate_frame.num_columns();
+    // The current columns, then the built generated columns in
+    // enumeration order; `generated_ivs` holds the latter's IVs.
+    DataFrame generated_valid;
+    std::vector<double> generated_ivs;
+    auto assemble = [&]() -> Result<DataFrame> {
+      DataFrame generated_train;
+      generated_valid = DataFrame();
+      generated_ivs.clear();
+      for (GenerationTask& task : tasks) {
+        if (!task.built) continue;
+        if (has_valid) {
+          SAFE_RETURN_NOT_OK(generated_valid.AddColumn(
+              Column(task.name, std::move(task.valid_values))));
+        }
+        SAFE_RETURN_NOT_OK(
+            generated_train.AddColumn(std::move(task.train_column)));
+        generated_ivs.push_back(task.iv);
+      }
+      return current.x.Concat(generated_train);
+    };
+    const StageStart pool_start = start_stage();
     Dataset candidates;
-    candidates.x = std::move(candidate_frame);
+    SAFE_ASSIGN_OR_RETURN(candidates.x, assemble());
     candidates.y = current.y;
+    diag.num_candidates = current.x.num_columns() + diag.num_generated;
     record_stage("candidate_pool", pool_start);
 
     // -------------------------------------------------- Alg. 3: IV filter
-    const double iv_start = iter_watch.ElapsedSeconds();
+    const StageStart iv_start = start_stage();
     std::vector<double> ivs;
     std::vector<size_t> after_iv;
     {
       SAFE_FR_SCOPE("engine.iv_filter");
-      ivs = ComputeIvs(candidates.x, candidates.labels(), params_.iv_bins,
-                       pool);
+      ivs = ComputeIvs(current.x, current.labels(), params_.iv_bins, pool);
+      const size_t num_raw = ivs.size();
+      ivs.insert(ivs.end(), generated_ivs.begin(), generated_ivs.end());
       after_iv = IvFilterIndices(ivs, params_.iv_threshold);
       if (after_iv.empty()) {
-        // Degenerate task (no feature clears α): fall back to every
-        // candidate so the pipeline still emits a usable feature set.
+        // Degenerate task (no feature clears α, so no generated column
+        // was built): rebuild every generated column from its recipe and
+        // fall back to every candidate so the pipeline still emits a
+        // usable feature set.
+        ParallelFor(pool, 0, tasks.size(), [&](size_t t) {
+          GenerationTask& task = tasks[t];
+          if (!task.ok) return;
+          ColumnLoan train_parents;
+          lend(task, current.x, &train_parents);
+          std::vector<double> values;
+          if (ApplyOperatorInto(*task.op, task.params,
+                                train_parents.vectors(), &values)
+                  .ok()) {
+            build(task, std::move(values), train_parents);
+          }
+        });
+        for (const GenerationTask& task : tasks) {
+          if (task.ok && !task.built) {
+            return Status::Internal("safe: cannot rebuild generated feature " +
+                                    task.name);
+          }
+        }
+        SAFE_ASSIGN_OR_RETURN(candidates.x, assemble());
+        ivs.resize(num_raw);
+        ivs.insert(ivs.end(), generated_ivs.begin(), generated_ivs.end());
         after_iv.resize(candidates.x.num_columns());
         for (size_t c = 0; c < after_iv.size(); ++c) after_iv[c] = c;
       }
@@ -416,7 +517,7 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
     diag.num_after_iv = after_iv.size();
 
     // -------------------------------------------------- Alg. 4: redundancy
-    const double redundancy_start = iter_watch.ElapsedSeconds();
+    const StageStart redundancy_start = start_stage();
     std::vector<size_t> after_redundancy;
     {
       SAFE_FR_SCOPE("engine.redundancy_filter");
@@ -427,7 +528,7 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
     diag.num_after_redundancy = after_redundancy.size();
 
     // -------------------------------------------------- importance ranking
-    const double rank_start = iter_watch.ElapsedSeconds();
+    const StageStart rank_start = start_stage();
     gbdt::GbdtParams ranker_params = params_.ranker;
     ranker_params.seed = rng.NextUint64();
     if (params_.n_threads != 0) ranker_params.n_threads = params_.n_threads;
@@ -460,7 +561,6 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
                          std::make_move_iterator(iteration_features.end()));
 
     diag.seconds = iter_watch.ElapsedSeconds();
-    const EngineCounters& counters = EngineCounters::Get();
     counters.iterations->Increment();
     counters.paths->Increment(diag.num_paths);
     counters.combinations->Increment(diag.num_combinations);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -80,13 +81,23 @@ struct SafeParams {
   }
 };
 
-/// \brief Wall-clock of one pipeline stage inside an iteration.
+/// \brief What one pipeline stage inside an iteration cost.
 /// `start_seconds` is the offset from the iteration start, so stages of
-/// an iteration are non-overlapping and monotonically ordered.
+/// an iteration are non-overlapping and monotonically ordered. The CPU
+/// and spill figures are process-wide deltas over the stage, so they
+/// include anything else the process ran meanwhile.
 struct StageTiming {
   std::string stage;
   double start_seconds = 0.0;
   double seconds = 0.0;
+  /// Process CPU seconds, user plus system over every thread.
+  double cpu_seconds = 0.0;
+  /// Bytes faulted back from, and written out to, spill files (the
+  /// `dataframe.spill.read_bytes` / `write_bytes` counters).
+  uint64_t spill_read_bytes = 0;
+  uint64_t spill_write_bytes = 0;
+  /// The process's RSS high-water mark at the stage's end.
+  uint64_t peak_rss_bytes = 0;
 };
 
 /// \brief Per-iteration funnel counts (how many features each stage kept)

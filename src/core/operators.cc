@@ -538,6 +538,14 @@ Status CheckApplicable(const Operator& op, size_t num_parents,
 Result<std::vector<double>> ApplyOperator(
     const Operator& op, const std::vector<double>& params,
     const std::vector<const std::vector<double>*>& parents) {
+  std::vector<double> out;
+  SAFE_RETURN_NOT_OK(ApplyOperatorInto(op, params, parents, &out));
+  return out;
+}
+
+Status ApplyOperatorInto(const Operator& op, const std::vector<double>& params,
+                         const std::vector<const std::vector<double>*>& parents,
+                         std::vector<double>* out) {
   SAFE_RETURN_NOT_OK(CheckApplicable(op, parents.size(), params));
   const size_t rows = parents[0]->size();
   for (const auto* parent : parents) {
@@ -545,7 +553,7 @@ Result<std::vector<double>> ApplyOperator(
       return Status::InvalidArgument("operator parents differ in length");
     }
   }
-  std::vector<double> out(rows);
+  out->resize(rows);
   std::vector<double> inputs(op.arity());
   for (size_t r = 0; r < rows; ++r) {
     bool missing = false;
@@ -556,12 +564,12 @@ Result<std::vector<double>> ApplyOperator(
       if (std::isnan(inputs[p])) missing = true;
     }
     if (missing && !op.handles_missing()) {
-      out[r] = kNaN;
+      (*out)[r] = kNaN;
     } else {
-      out[r] = op.Apply(inputs.data(), params);
+      (*out)[r] = op.Apply(inputs.data(), params);
     }
   }
-  return out;
+  return Status::OK();
 }
 
 OperatorRegistry OperatorRegistry::Empty() { return OperatorRegistry(); }

@@ -72,6 +72,14 @@ class Operator {
     const Operator& op, const std::vector<double>& params,
     const std::vector<const std::vector<double>*>& parents);
 
+/// ApplyOperator into `out`, which is resized to the row count; reusing
+/// one buffer across calls keeps its pages instead of allocating a column
+/// per call. `out` is unspecified on error.
+[[nodiscard]] Status ApplyOperatorInto(
+    const Operator& op, const std::vector<double>& params,
+    const std::vector<const std::vector<double>*>& parents,
+    std::vector<double>* out);
+
 /// \brief Name-keyed registry of operators (paper Section III: "new
 /// operators should be easily added").
 class OperatorRegistry {

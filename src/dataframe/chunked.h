@@ -165,14 +165,20 @@ class ChunkedVector {
 /// most one group of scratch is ever held here). Without a pool it keeps
 /// every row and finishes a resident vector (`group_rows` is then
 /// ignored), so `ChunkedVectorBuilder(v.pool(), v.group_rows())` builds
-/// a vector stored like `v`.
+/// a vector stored like `v`. `expected_rows` is a capacity hint: without
+/// a pool, that many rows are reserved up front, so a resident vector of
+/// known length is allocated once and never copied while it grows.
 template <typename T>
 class ChunkedVectorBuilder {
  public:
   explicit ChunkedVectorBuilder(std::shared_ptr<SpillPool> pool = nullptr,
-                                size_t group_rows = kDefaultRowGroupRows)
+                                size_t group_rows = kDefaultRowGroupRows,
+                                size_t expected_rows = 0)
       : pool_(std::move(pool)), group_rows_(group_rows) {
-    if (!pool_) return;
+    if (!pool_) {
+      scratch_.reserve(expected_rows);
+      return;
+    }
     SAFE_CHECK(ValidRowGroupRows(group_rows_));
     scratch_.reserve(group_rows_);
   }

@@ -1,5 +1,7 @@
 #include "src/dataframe/column.h"
 
+#include <limits>
+
 namespace safe {
 
 std::vector<double> Column::Gather() const {
@@ -8,33 +10,50 @@ std::vector<double> Column::Gather() const {
   return out;
 }
 
+namespace {
+
+/// IsConstant over consecutive spans: `*first` is the first non-missing
+/// value seen so far, NaN until there is one.
+bool ContinuesConstant(std::span<const double> values, double* first) {
+  for (const double v : values) {
+    if (std::isnan(v)) continue;
+    if (std::isnan(*first)) {
+      *first = v;
+    } else if (v != *first) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+size_t CountMissing(std::span<const double> values) {
+  size_t n = 0;
+  for (const double v : values) {
+    if (std::isnan(v)) ++n;
+  }
+  return n;
+}
+
+bool IsConstant(std::span<const double> values) {
+  double first = std::numeric_limits<double>::quiet_NaN();
+  return ContinuesConstant(values, &first);
+}
+
 size_t Column::CountMissing() const {
   size_t n = 0;
   ForEachSpan(0, size(), [&](size_t, const double* values, size_t len) {
-    for (size_t i = 0; i < len; ++i) {
-      if (std::isnan(values[i])) ++n;
-    }
+    n += safe::CountMissing({values, len});
   });
   return n;
 }
 
 bool Column::IsConstant() const {
-  bool seen = false;
+  double first = std::numeric_limits<double>::quiet_NaN();
   bool constant = true;
-  double first = 0.0;
   ForEachSpan(0, size(), [&](size_t, const double* values, size_t len) {
-    if (!constant) return;
-    for (size_t i = 0; i < len; ++i) {
-      const double v = values[i];
-      if (std::isnan(v)) continue;
-      if (!seen) {
-        first = v;
-        seen = true;
-      } else if (v != first) {
-        constant = false;
-        return;
-      }
-    }
+    constant = constant && ContinuesConstant({values, len}, &first);
   });
   return constant;
 }

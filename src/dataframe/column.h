@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +13,13 @@
 #include "src/dataframe/chunked.h"
 
 namespace safe {
+
+/// Number of NaN entries in `values`.
+size_t CountMissing(std::span<const double> values);
+
+/// True when every non-missing entry of `values` equals the first
+/// non-missing one (so also when every entry is missing).
+bool IsConstant(std::span<const double> values);
 
 /// \brief An immutable, named column of doubles.
 ///
@@ -87,10 +95,10 @@ class Column {
   /// groups as needed).
   std::vector<double> Gather() const;
 
-  /// Number of NaN entries.
+  /// Number of NaN entries (safe::CountMissing over every span).
   size_t CountMissing() const;
 
-  /// True when every non-missing value equals the first non-missing value.
+  /// safe::IsConstant over every span.
   bool IsConstant() const;
 
   /// The storage, resident or pooled.

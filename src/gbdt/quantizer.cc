@@ -1,10 +1,20 @@
 #include "src/gbdt/quantizer.h"
 
+#include <algorithm>
+#include <array>
+
 #include "src/common/thread_pool.h"
 #include "src/obs/flight_recorder.h"
 
 namespace safe {
 namespace gbdt {
+
+namespace {
+
+/// Rows Transform quantizes per Append.
+constexpr size_t kTransformBlockRows = 4096;
+
+}  // namespace
 
 Result<FeatureQuantizer> FeatureQuantizer::Fit(const DataFrame& frame,
                                                size_t max_bins,
@@ -50,19 +60,24 @@ Result<BinnedMatrix> FeatureQuantizer::Transform(const DataFrame& frame,
   out.edges = edges_;
   out.bins.resize(edges_.size());
   ParallelFor(pool, 0, edges_.size(), [&](size_t f) {
-    // Quantize one row group at a time into a bin vector stored like the
-    // feature (see BinnedMatrix).
+    // Quantize into a bin vector stored like the feature (see
+    // BinnedMatrix), through a fixed block so a worker holds no second
+    // copy of the column's bins.
     const Column& column = frame.column(f);
     ChunkedVectorBuilder<uint16_t> builder(column.chunks()->pool(),
-                                           column.chunks()->group_rows());
-    std::vector<uint16_t> scratch;
+                                           column.chunks()->group_rows(),
+                                           column.size());
+    std::array<uint16_t, kTransformBlockRows> block;
     column.ForEachSpan(
         0, column.size(), [&](size_t, const double* values, size_t len) {
-          scratch.resize(len);
-          for (size_t i = 0; i < len; ++i) {
-            scratch[i] = static_cast<uint16_t>(edges_[f].BinIndex(values[i]));
+          for (size_t lo = 0; lo < len; lo += block.size()) {
+            const size_t n = std::min(block.size(), len - lo);
+            for (size_t i = 0; i < n; ++i) {
+              block[i] =
+                  static_cast<uint16_t>(edges_[f].BinIndex(values[lo + i]));
+            }
+            builder.Append(block.data(), n);
           }
-          builder.Append(scratch.data(), len);
         });
     out.bins[f] = builder.Finish();
   });

@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <ctime>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#endif
 
 namespace safe {
 namespace obs {
@@ -13,6 +18,24 @@ uint64_t NowNanos() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           SteadyClock::now() - epoch)
           .count());
+}
+
+uint64_t PeakRssBytes() {
+#if defined(__unix__) || defined(__APPLE__)
+  struct rusage usage {};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+#if defined(__APPLE__)
+  return static_cast<uint64_t>(usage.ru_maxrss);  // bytes
+#else
+  return static_cast<uint64_t>(usage.ru_maxrss) * 1024;  // KiB
+#endif
+#else
+  return 0;
+#endif
+}
+
+double ProcessCpuSeconds() {
+  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
 }
 
 std::vector<double> DefaultLatencyBucketsUs() {

@@ -18,6 +18,14 @@ namespace obs {
 /// run lines up.
 uint64_t NowNanos();
 
+/// The process's resident-set high-water mark so far, in bytes (0 where
+/// the platform does not report it). It never decreases.
+uint64_t PeakRssBytes();
+
+/// CPU time the process has used so far, user plus system over every
+/// thread, in seconds.
+double ProcessCpuSeconds();
+
 /// \brief Point-in-time copy of one histogram.
 ///
 /// Buckets follow the Prometheus `le` convention: `counts[i]` is the

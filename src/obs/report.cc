@@ -9,10 +9,6 @@
 
 #include "src/obs/trace_export.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 namespace safe {
 namespace obs {
 
@@ -149,20 +145,9 @@ JsonValue SpansToJson(const std::vector<SpanRecord>& spans) {
 }
 
 void RunReport::CaptureTelemetry() {
-#if defined(__unix__) || defined(__APPLE__)
-  // Peak RSS at emission time, so bench reports record memory next to
-  // time (groundwork for out-of-core work, ROADMAP item 3).
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) == 0) {
-#if defined(__APPLE__)
-    const double peak_bytes = static_cast<double>(usage.ru_maxrss);
-#else
-    const double peak_bytes = static_cast<double>(usage.ru_maxrss) * 1024.0;
-#endif
-    MetricsRegistry::Global()->gauge("process.peak_rss_bytes")
-        ->Set(peak_bytes);
-  }
-#endif
+  // Peak RSS at emission time, so reports record memory next to time.
+  MetricsRegistry::Global()->gauge("process.peak_rss_bytes")
+      ->Set(static_cast<double>(PeakRssBytes()));
   metrics_ = MetricsRegistry::Global()->Snapshot();
   const std::vector<ThreadTimeline> timelines =
       FlightRecorder::Global()->Snapshot();

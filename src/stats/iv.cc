@@ -119,21 +119,42 @@ Result<double> InformationValue(const Column& feature,
   return iv;
 }
 
+namespace {
+
+obs::Counter* IvColumnsCounter() {
+  static obs::Counter* counter =
+      obs::MetricsRegistry::Global()->counter("stats.iv_columns");
+  return counter;
+}
+
+/// FilterIv without the column count: InformationValue, 0 where undefined,
+/// its latency observed in `stats.iv_column_us`.
+template <typename Feature>
+double TimedFilterIv(const Feature& feature, const std::vector<double>& labels,
+                     size_t num_bins) {
+  const uint64_t start_ns = obs::NowNanos();
+  auto iv = InformationValue(feature, labels, num_bins);
+  obs::PerThreadHistogram("stats.iv_column_us", obs::DefaultLatencyBucketsUs())
+      ->Observe(static_cast<double>(obs::NowNanos() - start_ns) / 1e3);
+  return iv.ok() ? *iv : 0.0;
+}
+
+}  // namespace
+
+double FilterIv(const std::vector<double>& feature,
+                const std::vector<double>& labels, size_t num_bins) {
+  IvColumnsCounter()->Increment();
+  return TimedFilterIv(feature, labels, num_bins);
+}
+
 std::vector<double> InformationValueBatch(const DataFrame& x,
                                           const std::vector<double>& labels,
                                           size_t num_bins, ThreadPool* pool) {
-  static obs::Counter* columns_counter =
-      obs::MetricsRegistry::Global()->counter("stats.iv_columns");
   std::vector<double> ivs(x.num_columns(), 0.0);
   ParallelFor(pool, 0, x.num_columns(), [&](size_t c) {
-    const uint64_t start_ns = obs::NowNanos();
-    auto iv = InformationValue(x.column(c), labels, num_bins);
-    ivs[c] = iv.ok() ? *iv : 0.0;
-    obs::PerThreadHistogram("stats.iv_column_us",
-                            obs::DefaultLatencyBucketsUs())
-        ->Observe(static_cast<double>(obs::NowNanos() - start_ns) / 1e3);
+    ivs[c] = TimedFilterIv(x.column(c), labels, num_bins);
   });
-  columns_counter->Increment(x.num_columns());
+  IvColumnsCounter()->Increment(x.num_columns());
   return ivs;
 }
 

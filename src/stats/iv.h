@@ -51,6 +51,12 @@ const char* IvBandName(IvBand band);
                                 const std::vector<double>& labels,
                                 size_t num_bins);
 
+/// Alg. 3's score of one feature: its InformationValue, or 0 where that
+/// is undefined (constant, all-missing, single-class labels). Counted and
+/// timed in the `stats.iv_*` series like each InformationValueBatch column.
+double FilterIv(const std::vector<double>& feature,
+                const std::vector<double>& labels, size_t num_bins);
+
 /// \brief IV of every frame column, one pool task per column (Alg. 3's
 /// per-feature loop). Each task fits its own equal-frequency edges, so
 /// binning parallelizes together with the IV itself. Columns whose IV is

@@ -6,6 +6,7 @@
 
 #include "src/core/engine.h"
 #include "src/data/synthetic.h"
+#include "src/dataframe/spill.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/report.h"
 
@@ -86,6 +87,59 @@ TEST(SafeEngineTelemetryTest, FunnelCountsAreOrdered) {
     EXPECT_GE(diag.num_after_redundancy, diag.num_selected);
     EXPECT_GT(diag.num_candidates, 0u);
     EXPECT_GT(diag.num_selected, 0u);
+  }
+}
+
+const StageTiming* FindStage(const IterationDiagnostics& diag,
+                             const std::string& name) {
+  for (const auto& stage : diag.stages) {
+    if (stage.stage == name) return &stage;
+  }
+  return nullptr;
+}
+
+TEST(SafeEngineTelemetryTest, StageRecordsOfAResidentFitReadNoSpill) {
+  auto result = FitOnce();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  for (const auto& diag : result->iterations) {
+    uint64_t previous_peak = 0;
+    for (const auto& stage : diag.stages) {
+      SCOPED_TRACE(stage.stage);
+      // A resident fit never touches a spill file.
+      EXPECT_EQ(stage.spill_read_bytes, 0u);
+      EXPECT_EQ(stage.spill_write_bytes, 0u);
+      EXPECT_GE(stage.cpu_seconds, 0.0);
+      // The high-water mark only rises.
+      EXPECT_GE(stage.peak_rss_bytes, previous_peak);
+      previous_peak = stage.peak_rss_bytes;
+    }
+  }
+}
+
+TEST(SafeEngineTelemetryTest, PooledFitRecordsSpillWritesWhileGenerating) {
+  data::SyntheticSpec spec = QuickSpec();
+  spec.num_rows = 3 * kMinRowGroupRows;
+  auto data = data::MakeSyntheticDataset(spec);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  // Two groups' worth of budget: the pool spills as soon as the fit
+  // stores a generated column.
+  SpillPool::Options options;
+  options.resident_budget_bytes = 2 * kMinRowGroupRows * sizeof(double);
+  auto pool = SpillPool::Create(options);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  const Dataset pooled = ToChunkedDataset(*data, *pool, kMinRowGroupRows);
+  auto result = SafeEngine(QuickParams()).Fit(pooled);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_FALSE(result->iterations.empty());
+  const IterationDiagnostics& diag = result->iterations.front();
+  const StageTiming* generate = FindStage(diag, "generate_features");
+  ASSERT_NE(generate, nullptr);
+  EXPECT_GT(generate->spill_write_bytes, 0u);
+  uint64_t previous_peak = 0;
+  for (const auto& stage : diag.stages) {
+    EXPECT_GE(stage.cpu_seconds, 0.0) << stage.stage;
+    EXPECT_GE(stage.peak_rss_bytes, previous_peak) << stage.stage;
+    previous_peak = stage.peak_rss_bytes;
   }
 }
 

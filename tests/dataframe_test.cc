@@ -32,6 +32,7 @@ TEST(ColumnTest, RenamedSharesBuffer) {
 TEST(ColumnTest, CountMissing) {
   Column c("x", {1.0, std::nan(""), 3.0, std::nan("")});
   EXPECT_EQ(c.CountMissing(), 2u);
+  EXPECT_EQ(CountMissing(c.values()), 2u);
 }
 
 TEST(ColumnTest, IsConstant) {
@@ -39,6 +40,11 @@ TEST(ColumnTest, IsConstant) {
   EXPECT_TRUE(Column("x", {std::nan(""), 2.0, 2.0}).IsConstant());
   EXPECT_FALSE(Column("x", {2.0, 3.0}).IsConstant());
   EXPECT_TRUE(Column("x", std::vector<double>{}).IsConstant());
+  // The span form, which the engine runs on an operator's output buffer.
+  const double nan = std::nan("");
+  EXPECT_TRUE(IsConstant(std::vector<double>{nan, 2.0, nan, 2.0}));
+  EXPECT_TRUE(IsConstant(std::vector<double>{nan, nan}));
+  EXPECT_FALSE(IsConstant(std::vector<double>{2.0, nan, 3.0}));
 }
 
 TEST(DataFrameTest, AddAndLookup) {

@@ -1,9 +1,10 @@
 // Differential determinism suite for the parallel SAFE engine: a full
 // Fit must produce a byte-identical serialized FeaturePlan — and
 // identical selected / generated lists — at n_threads ∈ {1, 2, 8}, for
-// clean, NaN-bearing and constant-column inputs. This is the engine-wide
-// analogue of gbdt_parallel_determinism_test and the enforcement point
-// of the DESIGN.md determinism rules.
+// clean, NaN-bearing and constant-column inputs, and for a pooled frame
+// that spills during the fit. This is the engine-wide analogue of
+// gbdt_parallel_determinism_test and the enforcement point of the
+// DESIGN.md determinism rules.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include "src/core/engine.h"
 #include "src/data/synthetic.h"
+#include "src/dataframe/spill.h"
 #include "tests/property_util.h"
 
 namespace safe {
@@ -84,6 +86,39 @@ TEST(EngineParallelDeterminismTest, NanBearingDataset) {
   auto data = data::MakeSyntheticDataset(spec);
   ASSERT_TRUE(data.ok());
   ExpectIdenticalAcrossThreadCounts(*data, QuickParams(23));
+}
+
+TEST(EngineParallelDeterminismTest, PooledNanBearingDatasetMatchesResident) {
+  // Each column spans three row groups. Generation tasks take IVs and
+  // seal their columns into one shared pool at once, and its two-group
+  // budget makes it spill while they do.
+  data::SyntheticSpec spec;
+  spec.num_rows = 3 * kMinRowGroupRows;
+  spec.num_features = 8;
+  spec.num_informative = 3;
+  spec.num_interactions = 2;
+  spec.missing_rate = 0.12;
+  spec.seed = 23;
+  auto data = data::MakeSyntheticDataset(spec);
+  ASSERT_TRUE(data.ok());
+  const SafeParams params = QuickParams(23);
+  const FitSnapshot resident = FitAt(*data, params, 1);
+  EXPECT_FALSE(resident.selected.empty());
+  for (size_t n_threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    SpillPool::Options options;
+    options.resident_budget_bytes = 2 * kMinRowGroupRows * sizeof(double);
+    auto pool = SpillPool::Create(options);
+    ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+    const Dataset pooled = ToChunkedDataset(*data, *pool, kMinRowGroupRows);
+    const FitSnapshot run = FitAt(pooled, params, n_threads);
+    EXPECT_EQ(run.selected, resident.selected)
+        << "pooled selected list diverged at n_threads=" << n_threads;
+    EXPECT_EQ(run.num_generated, resident.num_generated)
+        << "pooled generated count diverged at n_threads=" << n_threads;
+    EXPECT_EQ(run.serialized, resident.serialized)
+        << "pooled FeaturePlan diverged at n_threads=" << n_threads;
+    EXPECT_GT((*pool)->stats().evictions, 0u);
+  }
 }
 
 TEST(EngineParallelDeterminismTest, ConstantAndSparseColumns) {

@@ -24,6 +24,7 @@
 
 #include "src/core/engine.h"
 #include "src/data/synthetic.h"
+#include "src/dataframe/spill.h"
 #include "src/gbdt/booster.h"
 
 namespace safe {
@@ -133,6 +134,61 @@ TEST(GoldenOutputTest, EnginePlanWithBinningOperators) {
   EXPECT_NE(plan.find("\ndiscretize "), std::string::npos) << plan;
   EXPECT_NE(plan.find("\ngbmean "), std::string::npos) << plan;
   EXPECT_EQ(Fnv1aHex(plan), "ec67e5f501ccc4e0");
+}
+
+TEST(GoldenOutputTest, EnginePlanWhenNoCandidateClearsAlpha) {
+  // With α above every IV the filter keeps nothing, so the engine falls
+  // back to every candidate, rebuilding first the generated columns it
+  // did not build. Every storage, thread count and validation setting
+  // must give the one plan.
+  data::SyntheticSpec spec;
+  spec.num_features = 8;
+  spec.num_informative = 4;
+  spec.num_interactions = 3;
+  spec.num_redundant = 1;
+  spec.missing_rate = 0.05;
+  spec.seed = 707;
+  auto split = data::MakeSyntheticSplit(spec, 3 * kMinRowGroupRows, 2000, 500);
+  SAFE_CHECK(split.ok()) << split.status().ToString();
+  SafeParams params;
+  params.iv_threshold = 1e9;
+  // Small boosters and few combinations keep the all-candidate
+  // redundancy and importance stages quick.
+  params.miner.num_trees = 8;
+  params.miner.max_depth = 3;
+  params.ranker.num_trees = 8;
+  params.ranker.max_depth = 3;
+  params.gamma = 8;
+  for (size_t n_threads : {size_t{1}, size_t{4}}) {
+    for (bool pooled : {false, true}) {
+      for (bool with_valid : {false, true}) {
+        SCOPED_TRACE("n_threads=" + std::to_string(n_threads) +
+                     " pooled=" + std::to_string(pooled) +
+                     " with_valid=" + std::to_string(with_valid));
+        params.n_threads = n_threads;
+        Dataset train = split->train;
+        if (pooled) {
+          // Two groups of budget, so the pool spills during the fit.
+          SpillPool::Options options;
+          options.resident_budget_bytes =
+              2 * kMinRowGroupRows * sizeof(double);
+          auto pool = SpillPool::Create(options);
+          ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+          train = ToChunkedDataset(train, *pool, kMinRowGroupRows);
+        }
+        auto fit = SafeEngine(params).Fit(
+            train, with_valid ? &split->valid : nullptr);
+        ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+        for (const auto& diag : fit->iterations) {
+          EXPECT_EQ(diag.num_after_iv, diag.num_candidates);
+        }
+        // Generated features must reach the plan, or this case would not
+        // cover the rebuilt columns.
+        EXPECT_FALSE(fit->plan.generated().empty());
+        EXPECT_EQ(Fnv1aHex(fit->plan.Serialize()), "96ad87110fa690ab");
+      }
+    }
+  }
 }
 
 }  // namespace

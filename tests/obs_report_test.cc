@@ -183,6 +183,52 @@ TEST(RunReportTest, JsonRoundTrip) {
   EXPECT_DOUBLE_EQ(stages->items()[1].Find("seconds")->number_value(), 0.05);
 }
 
+TEST(RunReportTest, StageRecordsCarryCpuSpillAndPeakRss) {
+  std::vector<IterationDiagnostics> iterations(1);
+  StageTiming stage;
+  stage.stage = "generate_features";
+  stage.start_seconds = 0.5;
+  stage.seconds = 0.25;
+  stage.cpu_seconds = 0.75;
+  stage.spill_read_bytes = 4096;
+  stage.spill_write_bytes = 8192;
+  stage.peak_rss_bytes = 1 << 20;
+  iterations[0].stages.push_back(stage);
+  const JsonValue json = IterationDiagnosticsToJson(iterations);
+  ASSERT_EQ(json.items().size(), 1u);
+  const JsonValue* stages = json.items()[0].Find("stages");
+  ASSERT_NE(stages, nullptr);
+  ASSERT_EQ(stages->items().size(), 1u);
+  const JsonValue& s = stages->items()[0];
+  EXPECT_EQ(s.Find("stage")->string_value(), "generate_features");
+  EXPECT_DOUBLE_EQ(s.Find("cpu_seconds")->number_value(), 0.75);
+  EXPECT_DOUBLE_EQ(s.Find("spill_read_bytes")->number_value(), 4096.0);
+  EXPECT_DOUBLE_EQ(s.Find("spill_write_bytes")->number_value(), 8192.0);
+  EXPECT_DOUBLE_EQ(s.Find("peak_rss_bytes")->number_value(), 1048576.0);
+}
+
+TEST(ProcessUsageTest, CpuSecondsAndPeakRssNeverDecrease) {
+  const double cpu_before = ProcessCpuSeconds();
+  const uint64_t peak_before = PeakRssBytes();
+  EXPECT_GE(cpu_before, 0.0);
+  // Touch 8 MiB and burn a little CPU; neither reading may fall.
+  std::vector<char> block(8 << 20, 1);
+  volatile uint64_t sink = 0;
+  for (size_t i = 0; i < block.size(); i += 64) sink = sink + block[i];
+  const double cpu_after = ProcessCpuSeconds();
+  const uint64_t peak_after = PeakRssBytes();
+  EXPECT_GE(cpu_after, cpu_before);
+  EXPECT_GE(peak_after, peak_before);
+#if defined(__unix__) || defined(__APPLE__)
+  EXPECT_GE(peak_after, uint64_t{8} << 20);
+#endif
+  // CaptureTelemetry publishes the same high-water mark.
+  RunReport report("usage_test");
+  report.CaptureTelemetry();
+  EXPECT_GE(report.metrics().gauges.at("process.peak_rss_bytes"),
+            static_cast<double>(peak_after));
+}
+
 TEST(RunReportTest, TableListsMetricsAndSpans) {
   RunReport report = MakeFixtureReport();
   const std::string table = report.ToTable();

@@ -37,9 +37,9 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "bench/serve_bench.h"
 #include "src/common/stopwatch.h"
 #include "src/common/string_util.h"
-#include "src/serve/serve_bench.h"
 
 namespace safe {
 namespace bench {

@@ -1,4 +1,4 @@
-#include "src/serve/serve_bench.h"
+#include "bench/serve_bench.h"
 
 #include <algorithm>
 #include <atomic>
@@ -17,7 +17,6 @@
 #include "src/obs/flight_recorder.h"
 #include "src/serve/batch_scorer.h"
 #include "src/serve/scorer.h"
-// lint: layering-ok(the benchmark driver sits above the whole serving stack by design; it is a tool, not a library layer)
 #include "src/serve/server/scoring_server.h"
 
 namespace safe {

@@ -403,8 +403,9 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
         ColumnLoan train_parents;
         lend(task, current.x, &train_parents);
         // Failures here (unfittable params, inapplicable operator,
-        // constant or all-missing output) simply leave the task !ok —
-        // the serial code skipped those columns the same way.
+        // constant output, which includes an all-missing one) simply
+        // leave the task !ok — the serial code skipped those columns the
+        // same way.
         auto params_result = task.op->FitParams(train_parents.vectors());
         if (!params_result.ok()) continue;
         if (!ApplyOperatorInto(*task.op, *params_result,
@@ -413,7 +414,6 @@ Result<SafeFitResult> SafeEngine::Fit(const Dataset& train,
           continue;
         }
         if (IsConstant(values)) continue;  // carries no information
-        if (CountMissing(values) == values.size()) continue;
         task.params = std::move(*params_result);
         task.iv = FilterIv(values, current.labels(), params_.iv_bins);
         // A dropped task never applies its validation side: after the

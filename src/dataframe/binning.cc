@@ -33,32 +33,33 @@ double FromOrderedKey(uint64_t key) {
                                ((key & kSignBit) != 0 ? kSignBit : ~uint64_t{0}));
 }
 
-/// Appends the keys of the non-missing values in [values, values + len),
-/// counting every pass's digits on the way.
-void AppendKeys(const double* values, size_t len, std::vector<uint64_t>* keys,
-                DigitCounts* counts) {
-  for (size_t i = 0; i < len; ++i) {
-    if (std::isnan(values[i])) continue;
-    const uint64_t key = OrderedKey(values[i]);
-    keys->push_back(key);
-    for (size_t p = 0; p < kPasses; ++p) {
-      ++(*counts)[p][(key >> (p * kDigitBits)) & (kBuckets - 1)];
+/// Sorted keys of the non-missing values, by an LSD radix sort that
+/// ping-pongs with one scratch buffer of the same size. Every pass's
+/// digits are counted while the keys are built span by span; radix order
+/// depends only on the key bits, so storage does not change the result.
+/// A pass whose digit is the same for every key would copy the buffer
+/// unchanged, so it is skipped.
+Result<std::vector<uint64_t>> SortedNonMissing(const RowSpans& rows) {
+  std::vector<uint64_t> keys;
+  keys.reserve(rows.size());
+  DigitCounts counts{};
+  rows.ForEach([&](size_t, const double* values, size_t len) {
+    for (size_t i = 0; i < len; ++i) {
+      if (std::isnan(values[i])) continue;
+      const uint64_t key = OrderedKey(values[i]);
+      keys.push_back(key);
+      for (size_t p = 0; p < kPasses; ++p) {
+        ++counts[p][(key >> (p * kDigitBits)) & (kBuckets - 1)];
+      }
     }
-  }
-}
-
-/// LSD radix sort of `keys` ascending, ping-ponging with one scratch
-/// buffer of the same size. A pass whose digit is the same for every key
-/// would copy the buffer unchanged, so it is skipped.
-Result<std::vector<uint64_t>> RadixSorted(std::vector<uint64_t> keys,
-                                          DigitCounts* counts) {
+  });
   if (keys.empty()) {
     return Status::InvalidArgument("binning: all values are missing");
   }
   std::vector<uint64_t> scratch(keys.size());
   for (size_t p = 0; p < kPasses; ++p) {
     const size_t shift = p * kDigitBits;
-    auto& offsets = (*counts)[p];
+    auto& offsets = counts[p];
     if (offsets[(keys[0] >> shift) & (kBuckets - 1)] == keys.size()) continue;
     size_t next = 0;
     for (size_t& offset : offsets) {
@@ -74,33 +75,20 @@ Result<std::vector<uint64_t>> RadixSorted(std::vector<uint64_t> keys,
   return keys;
 }
 
-/// Sorted keys of the non-missing values.
-Result<std::vector<uint64_t>> SortedNonMissing(
-    const std::vector<double>& values) {
-  std::vector<uint64_t> keys;
-  keys.reserve(values.size());
-  DigitCounts counts{};
-  AppendKeys(values.data(), values.size(), &keys, &counts);
-  return RadixSorted(std::move(keys), &counts);
-}
+}  // namespace
 
-/// Column analogue of SortedNonMissing, built span by span. Radix order
-/// depends only on the key bits, so the result equals the vector path's.
-Result<std::vector<uint64_t>> SortedNonMissingColumn(const Column& column) {
-  std::vector<uint64_t> keys;
-  keys.reserve(column.size());
-  DigitCounts counts{};
-  column.ForEachSpan(0, column.size(),
-                     [&](size_t, const double* values, size_t len) {
-                       AppendKeys(values, len, &keys, &counts);
-                     });
-  return RadixSorted(std::move(keys), &counts);
-}
-
-/// Reads the <= num_bins - 1 quantile ranks and the maximum straight from
-/// the sorted keys.
-BinEdges EqualFrequencyEdgesFromSorted(const std::vector<uint64_t>& sorted,
-                                       size_t num_bins) {
+Result<BinEdges> EqualFrequencyEdges(const RowSpans& values,
+                                     size_t num_bins) {
+  if (num_bins < 2) {
+    return Status::InvalidArgument("num_bins must be >= 2");
+  }
+  static obs::Counter* fits =
+      obs::MetricsRegistry::Global()->counter("binning.equal_frequency_fits");
+  fits->Increment();
+  SAFE_ASSIGN_OR_RETURN(std::vector<uint64_t> sorted,
+                        SortedNonMissing(values));
+  // The <= num_bins - 1 quantile ranks and the maximum, read straight
+  // from the sorted keys.
   BinEdges out;
   const size_t n = sorted.size();
   for (size_t b = 1; b < num_bins; ++b) {
@@ -120,31 +108,14 @@ BinEdges EqualFrequencyEdgesFromSorted(const std::vector<uint64_t>& sorted,
   }
   return out;
 }
-}  // namespace
 
 Result<BinEdges> EqualFrequencyEdges(const std::vector<double>& values,
                                      size_t num_bins) {
-  if (num_bins < 2) {
-    return Status::InvalidArgument("num_bins must be >= 2");
-  }
-  static obs::Counter* fits =
-      obs::MetricsRegistry::Global()->counter("binning.equal_frequency_fits");
-  fits->Increment();
-  SAFE_ASSIGN_OR_RETURN(std::vector<uint64_t> sorted,
-                        SortedNonMissing(values));
-  return EqualFrequencyEdgesFromSorted(sorted, num_bins);
+  return EqualFrequencyEdges(RowSpans(values), num_bins);
 }
 
 Result<BinEdges> EqualFrequencyEdges(const Column& column, size_t num_bins) {
-  if (num_bins < 2) {
-    return Status::InvalidArgument("num_bins must be >= 2");
-  }
-  static obs::Counter* fits =
-      obs::MetricsRegistry::Global()->counter("binning.equal_frequency_fits");
-  fits->Increment();
-  SAFE_ASSIGN_OR_RETURN(std::vector<uint64_t> sorted,
-                        SortedNonMissingColumn(column));
-  return EqualFrequencyEdgesFromSorted(sorted, num_bins);
+  return EqualFrequencyEdges(RowSpans(column), num_bins);
 }
 
 Result<BinEdges> EqualWidthEdges(const std::vector<double>& values,
@@ -153,7 +124,7 @@ Result<BinEdges> EqualWidthEdges(const std::vector<double>& values,
     return Status::InvalidArgument("num_bins must be >= 2");
   }
   SAFE_ASSIGN_OR_RETURN(std::vector<uint64_t> sorted,
-                        SortedNonMissing(values));
+                        SortedNonMissing(RowSpans(values)));
   const double lo = FromOrderedKey(sorted.front());
   const double hi = FromOrderedKey(sorted.back());
   BinEdges out;
@@ -170,7 +141,8 @@ Result<BinEdges> KMeansEdges(const std::vector<double>& values,
   if (num_bins < 2) {
     return Status::InvalidArgument("num_bins must be >= 2");
   }
-  SAFE_ASSIGN_OR_RETURN(std::vector<uint64_t> keys, SortedNonMissing(values));
+  SAFE_ASSIGN_OR_RETURN(std::vector<uint64_t> keys,
+                        SortedNonMissing(RowSpans(values)));
   std::vector<double> sorted(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) sorted[i] = FromOrderedKey(keys[i]);
   // Initial centers at quantiles; duplicates collapse.

@@ -49,14 +49,18 @@ struct BinEdges {
 ///
 /// The non-missing values are ranked by an LSD radix sort over
 /// order-preserving 64-bit keys, a total order on bits in which -0.0
-/// sorts before +0.0, so the cuts do not depend on the input order or the
-/// standard library. A call holds two column-sized key buffers.
+/// sorts before +0.0, so the cuts do not depend on the input order, the
+/// storage or the standard library. A call holds two column-sized key
+/// buffers.
+[[nodiscard]] Result<BinEdges> EqualFrequencyEdges(const RowSpans& values,
+                                                   size_t num_bins);
+
+/// EqualFrequencyEdges over a vector's one span.
 [[nodiscard]] Result<BinEdges> EqualFrequencyEdges(const std::vector<double>& values,
                                      size_t num_bins);
 
-/// Storage-agnostic overload: streams the column row-group-wise (never
-/// materializing a pooled column) and produces the exact bits of the
-/// vector overload.
+/// EqualFrequencyEdges over a column's spans: a pooled column streams
+/// row group by row group and is never materialized.
 [[nodiscard]] Result<BinEdges> EqualFrequencyEdges(const Column& column,
                                      size_t num_bins);
 

@@ -1,5 +1,6 @@
 #include "src/dataframe/column.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace safe {
@@ -66,6 +67,52 @@ Column Column::AsChunked(const std::shared_ptr<SpillPool>& pool,
     builder.Append(values, len);
   });
   return Column(name_, builder.Finish());
+}
+
+RowSpans::RowSpans(const Column& column) {
+  const ChunkedVector<double>& chunks = *column.chunks();
+  if (const std::vector<double>* resident = chunks.resident()) {
+    whole_ = *resident;
+  } else {
+    chunks_ = &chunks;
+  }
+}
+
+void RowSpans::ForEach(
+    const std::function<void(size_t, const double*, size_t)>& fn) const {
+  if (chunks_ != nullptr) {
+    chunks_->ForEachSpan(0, chunks_->size(), fn);
+  } else if (!whole_.empty()) {
+    fn(0, whole_.data(), whole_.size());
+  }
+}
+
+const double* RowSpans::Window(size_t pos, ChunkedVector<double>::Span* pin,
+                               size_t* end) const {
+  if (chunks_ == nullptr) {
+    *end = whole_.size();
+    return whole_.data() + pos;
+  }
+  *pin = chunks_->PinSpan(pos, chunks_->GroupEnd(chunks_->GroupOf(pos)));
+  *end = pin->end();
+  return pin->data();
+}
+
+void ZipSpans(
+    const RowSpans& a, const RowSpans& b,
+    const std::function<void(const double*, const double*, size_t)>& fn) {
+  SAFE_CHECK(a.size() == b.size());
+  ChunkedVector<double>::Span pin_a;
+  ChunkedVector<double>::Span pin_b;
+  for (size_t pos = 0; pos < a.size();) {
+    size_t end_a = 0;
+    size_t end_b = 0;
+    const double* pa = a.Window(pos, &pin_a, &end_a);
+    const double* pb = b.Window(pos, &pin_b, &end_b);
+    const size_t stop = std::min(end_a, end_b);
+    fn(pa, pb, stop - pos);
+    pos = stop;
+  }
 }
 
 void ColumnLoan::Lend(const Column& column) {

@@ -117,6 +117,47 @@ class Column {
   std::shared_ptr<const ChunkedVector<double>> chunks_;
 };
 
+/// \brief The rows of a vector or a Column as ascending contiguous spans:
+/// a vector or a resident column is one span, a pooled column one span
+/// per row group. The statistics kernels (quantile cuts, IV, Pearson)
+/// take this one shape, so each has one body whatever the storage; a
+/// vector is read in place, never copied into a Column, and a pooled
+/// column is never gathered. A view: its source must outlive it.
+class RowSpans {
+ public:
+  explicit RowSpans(const std::vector<double>& values) : whole_(values) {}
+  explicit RowSpans(const Column& column);
+
+  size_t size() const { return chunks_ ? chunks_->size() : whole_.size(); }
+
+  /// Invokes fn(base_row, values, len) over spans covering every row in
+  /// ascending order (pinning one row group at a time), so a serial
+  /// reduction over them accumulates in contiguous-loop order.
+  void ForEach(
+      const std::function<void(size_t, const double*, size_t)>& fn) const;
+
+ private:
+  friend void ZipSpans(
+      const RowSpans& a, const RowSpans& b,
+      const std::function<void(const double*, const double*, size_t)>& fn);
+
+  /// Row `pos` and, in `*end`, the row one past its contiguous window
+  /// (the next group boundary, or the end); `*pin` keeps a pooled
+  /// window's group resident.
+  const double* Window(size_t pos, ChunkedVector<double>::Span* pin,
+                       size_t* end) const;
+
+  std::span<const double> whole_;                  ///< contiguous rows
+  const ChunkedVector<double>* chunks_ = nullptr;  ///< pooled rows
+};
+
+/// Invokes fn(pa, pb, len) over the maximal windows where both `a` and
+/// `b` are contiguous, in ascending row order; pa and pb point at the
+/// same row. Requires a.size() == b.size().
+void ZipSpans(
+    const RowSpans& a, const RowSpans& b,
+    const std::function<void(const double*, const double*, size_t)>& fn);
+
 /// \brief Lends columns to an operator as contiguous vectors, then stores
 /// its output like them.
 ///

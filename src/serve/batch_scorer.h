@@ -16,8 +16,8 @@ namespace serve {
 /// \brief Vectorized batch engine for the serving path (DESIGN.md
 /// "Vectorized batch execution").
 ///
-/// Where RowScorer runs the scalar program and the forest's single-row
-/// walk once per row, BatchScorer processes blocks of kBlockRows rows
+/// Where RowScorer runs the program and the forest's single-row walk on
+/// one lane per row, BatchScorer processes blocks of kBlockRows rows
 /// through three column-wise stages over one reusable Scratch:
 ///
 ///   1. transpose the block into a slot-major column panel
@@ -25,8 +25,7 @@ namespace serve {
 ///      kBlockRows-lane span;
 ///   2. CompiledPlan::ExecuteBlock — each opcode runs as one contiguous
 ///      loop over the whole block (dispatch paid per block, inner loops
-///      SIMD-friendly, per-lane arithmetic shared with the per-row
-///      interpreter via op_kernels.h);
+///      SIMD-friendly; the row path runs the same loop on one lane);
 ///   3. gbdt::PackedForest::AccumulateMargins — QuickScorer-style
 ///      bitvector traversal, tree-major over the block, reading split
 ///      features straight out of the panel (split indices were remapped

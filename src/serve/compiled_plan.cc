@@ -6,7 +6,8 @@
 #include <limits>
 #include <string>
 
-#include "src/serve/op_kernels.h"
+#include "src/dataframe/binning.h"
+#include "src/gbdt/loss.h"
 
 namespace safe {
 namespace serve {
@@ -18,9 +19,9 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 /// Built-in operator name -> opcode. Anything not listed compiles to
 /// kGeneric (virtual dispatch with pre-staged params). The mapping keys
 /// on the registry name because that is the stable identifier serialized
-/// plans carry; the per-opcode bodies in Execute are verbatim copies of
-/// the corresponding Operator::Apply arithmetic, which is what makes the
-/// compiled output bit-identical to the interpreted one.
+/// plans carry; the per-opcode bodies in RunProgram are verbatim copies
+/// of the corresponding Operator::Apply arithmetic, which is what makes
+/// the compiled output bit-identical to the interpreted one.
 OpCode LookupOpCode(const std::string& name) {
   if (name == "add") return OpCode::kAdd;
   if (name == "sub") return OpCode::kSub;
@@ -119,110 +120,40 @@ void CompiledPlan::ExecuteSlots(const double* row, double* scratch) const {
   if (num_inputs_ > 0) {
     std::memcpy(scratch, row, num_inputs_ * sizeof(double));
   }
-  const double* arena = params_.data();
-  for (const Instruction& inst : instructions_) {
-    double in[3] = {0.0, 0.0, 0.0};
-    bool missing = false;
-    for (uint8_t p = 0; p < inst.arity; ++p) {
-      in[p] = scratch[inst.parents[p]];
-      if (std::isnan(in[p])) missing = true;
-    }
-    double value = kNaN;
-    if (!missing || inst.handles_missing) {
-      const double* prm = arena + inst.param_begin;
-      switch (inst.code) {
-        case OpCode::kAdd:
-          value = op::Add(in[0], in[1]);
-          break;
-        case OpCode::kSub:
-          value = op::Sub(in[0], in[1]);
-          break;
-        case OpCode::kMul:
-          value = op::Mul(in[0], in[1]);
-          break;
-        case OpCode::kDiv:
-          value = op::Div(in[0], in[1]);
-          break;
-        case OpCode::kAnd:
-          value = op::And(in[0], in[1]);
-          break;
-        case OpCode::kOr:
-          value = op::Or(in[0], in[1]);
-          break;
-        case OpCode::kXor:
-          value = op::Xor(in[0], in[1]);
-          break;
-        case OpCode::kLog:
-          value = op::Log(in[0]);
-          break;
-        case OpCode::kSqrt:
-          value = op::Sqrt(in[0]);
-          break;
-        case OpCode::kSquare:
-          value = op::Square(in[0]);
-          break;
-        case OpCode::kSigmoid:
-          value = op::SigmoidOp(in[0]);
-          break;
-        case OpCode::kTanh:
-          value = op::Tanh(in[0]);
-          break;
-        case OpCode::kRound:
-          value = op::Round(in[0]);
-          break;
-        case OpCode::kAbs:
-          value = op::Abs(in[0]);
-          break;
-        case OpCode::kZscore:
-          value = op::Zscore(in[0], prm);
-          break;
-        case OpCode::kDiscretize:
-          value = op::Discretize(in[0], prm, inst.param_count);
-          break;
-        case OpCode::kGroupBy:
-          value = op::GroupBy(in[0], prm);
-          break;
-        case OpCode::kRidge:
-          value = op::Ridge(in[0], in[1], prm);
-          break;
-        case OpCode::kKrr:
-          value = op::Krr(in[0], in[1], prm);
-          break;
-        case OpCode::kCond:
-          value = op::Cond(in[0], in[1], in[2]);
-          break;
-        case OpCode::kGeneric:
-          value = generic_ops_[inst.generic_index]->Apply(
-              in, generic_params_[inst.generic_index]);
-          break;
-      }
-    }
-    scratch[inst.out] = value;
-  }
+  // A dense row is a one-lane panel: slot s at scratch[s * 1 + 0].
+  RunProgram<true>(scratch, 1, 1);
+}
+
+void CompiledPlan::ExecuteBlock(double* panels, size_t stride,
+                                size_t n) const {
+  RunProgram<false>(panels, stride, n);
 }
 
 // lint: hot-path
-void CompiledPlan::ExecuteBlock(double* panels, size_t stride,
-                                size_t n) const {
+template <bool kOneLane>
+void CompiledPlan::RunProgram(double* panels, size_t stride, size_t n) const {
+  if constexpr (kOneLane) {
+    // Known at compile time, so every lane loop below is one iteration.
+    stride = 1;
+    n = 1;
+  }
   const double* arena = params_.data();
   for (const Instruction& inst : instructions_) {
-    const double* p0 =
-        inst.arity > 0 ? panels + inst.parents[0] * stride : nullptr;
-    const double* p1 =
-        inst.arity > 1 ? panels + inst.parents[1] * stride : nullptr;
-    const double* p2 =
-        inst.arity > 2 ? panels + inst.parents[2] * stride : nullptr;
+    // Parents past the arity are slot 0 (Compile validated the arity),
+    // so these pointers stay inside the panel and are never read.
+    const double* p0 = panels + inst.parents[0] * stride;
+    const double* p1 = panels + inst.parents[1] * stride;
+    const double* p2 = panels + inst.parents[2] * stride;
     double* dst = panels + inst.out * stride;
     const double* prm = arena + inst.param_begin;
     const bool handles_missing = inst.handles_missing;
-    // One contiguous lane loop per opcode. Each lane reproduces the
-    // scalar Execute step exactly: the same missing short-circuit, then
-    // the same op:: kernel — one shared definition, so bit-identity with
-    // the per-row path is structural (serve_batch_equivalence_test).
+    // One contiguous lane loop per opcode. A lane with a missing parent
+    // is NaN unless the operator handles missing values; otherwise it
+    // runs the verbatim Operator::Apply arithmetic of its family.
     auto unary = [&](auto kernel) {
       for (size_t i = 0; i < n; ++i) {
         const double a = p0[i];
-        dst[i] = (std::isnan(a) && !handles_missing) ? op::kNaN : kernel(a);
+        dst[i] = (std::isnan(a) && !handles_missing) ? kNaN : kernel(a);
       }
     };
     auto binary = [&](auto kernel) {
@@ -230,69 +161,92 @@ void CompiledPlan::ExecuteBlock(double* panels, size_t stride,
         const double a = p0[i];
         const double b = p1[i];
         dst[i] = ((std::isnan(a) || std::isnan(b)) && !handles_missing)
-                     ? op::kNaN
+                     ? kNaN
                      : kernel(a, b);
       }
     };
     switch (inst.code) {
       case OpCode::kAdd:
-        binary([](double a, double b) { return op::Add(a, b); });
+        binary([](double a, double b) { return a + b; });
         break;
       case OpCode::kSub:
-        binary([](double a, double b) { return op::Sub(a, b); });
+        binary([](double a, double b) { return a - b; });
         break;
       case OpCode::kMul:
-        binary([](double a, double b) { return op::Mul(a, b); });
+        binary([](double a, double b) { return a * b; });
         break;
       case OpCode::kDiv:
-        binary([](double a, double b) { return op::Div(a, b); });
+        binary([](double a, double b) { return (b == 0.0) ? kNaN : a / b; });
         break;
       case OpCode::kAnd:
-        binary([](double a, double b) { return op::And(a, b); });
+        binary([](double a, double b) {
+          return ((a > 0.5) && (b > 0.5)) ? 1.0 : 0.0;
+        });
         break;
       case OpCode::kOr:
-        binary([](double a, double b) { return op::Or(a, b); });
+        binary([](double a, double b) {
+          return ((a > 0.5) || (b > 0.5)) ? 1.0 : 0.0;
+        });
         break;
       case OpCode::kXor:
-        binary([](double a, double b) { return op::Xor(a, b); });
+        binary([](double a, double b) {
+          return ((a > 0.5) != (b > 0.5)) ? 1.0 : 0.0;
+        });
         break;
       case OpCode::kLog:
-        unary([](double a) { return op::Log(a); });
+        unary([](double a) { return !(a > 0.0) ? kNaN : std::log(a); });
         break;
       case OpCode::kSqrt:
-        unary([](double a) { return op::Sqrt(a); });
+        unary([](double a) { return (a < 0.0) ? kNaN : std::sqrt(a); });
         break;
       case OpCode::kSquare:
-        unary([](double a) { return op::Square(a); });
+        unary([](double a) { return a * a; });
         break;
       case OpCode::kSigmoid:
-        unary([](double a) { return op::SigmoidOp(a); });
+        unary([](double a) { return gbdt::Sigmoid(a); });
         break;
       case OpCode::kTanh:
-        unary([](double a) { return op::Tanh(a); });
+        unary([](double a) { return std::tanh(a); });
         break;
       case OpCode::kRound:
-        unary([](double a) { return op::Round(a); });
+        unary([](double a) { return std::round(a); });
         break;
       case OpCode::kAbs:
-        unary([](double a) { return op::Abs(a); });
+        unary([](double a) { return std::fabs(a); });
         break;
-      case OpCode::kZscore:
-        unary([&](double a) { return op::Zscore(a, prm); });
+      case OpCode::kZscore:  // and minmax: (x - p0) / p1
+        unary([&](double a) { return (a - prm[0]) / prm[1]; });
         break;
       case OpCode::kDiscretize:
         unary([&](double a) {
-          return op::Discretize(a, prm, inst.param_count);
+          return static_cast<double>(BinIndexOf({prm, inst.param_count}, a));
         });
         break;
       case OpCode::kGroupBy:
-        unary([&](double a) { return op::GroupBy(a, prm); });
+        // Params: [n, edge_0..edge_{n-1}, agg_bin_0..agg_bin_{n+1}]; a
+        // NaN key lands in the missing bin n + 1.
+        unary([&](double a) {
+          const size_t edges = static_cast<size_t>(prm[0]);
+          return prm[1 + edges + BinIndexOf({prm + 1, edges}, a)];
+        });
         break;
       case OpCode::kRidge:
-        binary([&](double a, double b) { return op::Ridge(a, b, prm); });
+        binary([&](double a, double b) { return b - (prm[0] * a + prm[1]); });
         break;
       case OpCode::kKrr:
-        binary([&](double a, double b) { return op::Krr(a, b, prm); });
+        // Params: [m, gamma, center_0..center_{m-1}, alpha_0..alpha_{m-1}].
+        binary([&](double a, double b) {
+          const size_t m = static_cast<size_t>(prm[0]);
+          const double gamma = prm[1];
+          const double* centers = prm + 2;
+          const double* alpha = prm + 2 + m;
+          double prediction = 0.0;
+          for (size_t k = 0; k < m; ++k) {
+            const double d = a - centers[k];
+            prediction += alpha[k] * std::exp(-gamma * d * d);
+          }
+          return b - prediction;
+        });
         break;
       case OpCode::kCond:
         for (size_t i = 0; i < n; ++i) {
@@ -302,8 +256,8 @@ void CompiledPlan::ExecuteBlock(double* panels, size_t stride,
           dst[i] =
               ((std::isnan(a) || std::isnan(b) || std::isnan(c)) &&
                !handles_missing)
-                  ? op::kNaN
-                  : op::Cond(a, b, c);
+                  ? kNaN
+                  : ((a > 0.0) ? b : c);
         }
         break;
       case OpCode::kGeneric: {
@@ -317,7 +271,7 @@ void CompiledPlan::ExecuteBlock(double* panels, size_t stride,
             in[p] = panels[inst.parents[p] * stride + i];
             if (std::isnan(in[p])) missing = true;
           }
-          dst[i] = (missing && !handles_missing) ? op::kNaN
+          dst[i] = (missing && !handles_missing) ? kNaN
                                                  : generic.Apply(in, params);
         }
         break;

@@ -12,8 +12,8 @@ namespace safe {
 namespace serve {
 
 /// \brief Opcodes of the linear serving program. One code per built-in
-/// operator family; the compiler inlines each family's arithmetic so the
-/// per-row loop is a flat switch with no virtual dispatch, no registry
+/// operator family; the program loop inlines each family's arithmetic, so
+/// it dispatches once per opcode with no virtual calls, no registry
 /// lookups and no heap traffic. Operators the compiler does not know
 /// (custom registrations) fall back to kGeneric, which calls the virtual
 /// Operator::Apply with a pre-staged params vector — still allocation-free
@@ -115,12 +115,11 @@ class CompiledPlan {
   /// is a slot-major matrix (scratch slot s occupies
   /// [s * stride, s * stride + n)) whose input slots [0, num_inputs())
   /// are already loaded for lanes [0, n); n must be <= stride. Runs each
-  /// instruction as one contiguous loop over the whole block — the
-  /// dispatch cost is paid once per opcode per block instead of once per
-  /// row, and the inner loops are SIMD-friendly — while every lane
-  /// reproduces the scalar Execute arithmetic exactly (shared op::
-  /// kernels, same NaN short-circuit), so panel contents are
-  /// bit-identical to n scalar Execute calls. No allocation, no locks.
+  /// instruction as one contiguous loop over the whole block, so the
+  /// dispatch cost is paid once per opcode per block and the inner loops
+  /// are SIMD-friendly. Execute runs the same loop on a one-lane panel,
+  /// so panel contents are bit-identical to n Execute calls by
+  /// construction. No allocation, no locks.
   void ExecuteBlock(double* panels, size_t stride, size_t n) const;
 
   /// Checked convenience wrapper for tests and one-off callers; allocates
@@ -129,6 +128,12 @@ class CompiledPlan {
       const std::vector<double>& row) const;
 
  private:
+  /// The one opcode loop: ExecuteBlock's lane loop over `n` lanes at
+  /// `stride`. The kOneLane instantiation fixes stride and n at 1, which
+  /// makes every lane loop a single step for the row path.
+  template <bool kOneLane>
+  void RunProgram(double* panels, size_t stride, size_t n) const;
+
   size_t num_inputs_ = 0;
   size_t scratch_size_ = 0;
   std::vector<Instruction> instructions_;

@@ -1,6 +1,5 @@
 #include "src/stats/correlation.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/obs/metrics.h"
@@ -34,58 +33,29 @@ const char* PearsonBandName(PearsonBand band) {
 
 namespace {
 
-/// Walking read head over one column: Seek(pos) yields a contiguous
-/// window starting at pos and ending at the column's next group boundary
-/// (the whole column when resident).
-struct ColumnWalker {
-  explicit ColumnWalker(const Column& c) : chunks(*c.chunks()) {}
-
-  void Seek(size_t pos) {
-    span = chunks.PinSpan(pos, chunks.GroupEnd(chunks.GroupOf(pos)));
-    ptr = span.data();
-    end = span.end();
-  }
-
-  const ChunkedVector<double>& chunks;
-  ChunkedVector<double>::Span span;
-  const double* ptr = nullptr;  ///< first value of the current window
-  size_t end = 0;               ///< row index one past the window
-};
-
-/// Invokes fn(pa, pb, len) over maximal windows where both columns are
-/// contiguous, in ascending row order; pa/pb point at the same row.
-template <typename Fn>
-void ZipSpans(const Column& a, const Column& b, Fn&& fn) {
-  const size_t n = a.size();
-  ColumnWalker wa(a);
-  ColumnWalker wb(b);
-  size_t pos = 0;
-  while (pos < n) {
-    wa.Seek(pos);
-    wb.Seek(pos);
-    const size_t stop = std::min(wa.end, wb.end);
-    fn(wa.ptr, wb.ptr, stop - pos);
-    pos = stop;
-  }
-}
-
-}  // namespace
-
-double PearsonCorrelation(const Column& a, const Column& b) {
-  SAFE_CHECK(a.size() == b.size());
-  // Two-pass: means over paired non-missing rows, then moments. Each
-  // pass accumulates in ascending row order regardless of storage, so
-  // the arithmetic matches the vector overload bit for bit.
+/// Eq. 7 over the zipped spans of `a` and `b`: the one Pearson body.
+/// Two passes, means over paired non-missing rows and then moments, each
+/// accumulating in ascending row order whatever the storage, so every
+/// overload gives the same bits on the same data. Each window sums into
+/// locals and carries them on: a captured accumulator would be stored and
+/// reloaded every row, since a double store may alias the spans read.
+double PearsonOf(const RowSpans& a, const RowSpans& b) {
   double sum_a = 0.0;
   double sum_b = 0.0;
   size_t n = 0;
   ZipSpans(a, b, [&](const double* pa, const double* pb, size_t len) {
+    double sa = sum_a;
+    double sb = sum_b;
+    size_t m = n;
     for (size_t i = 0; i < len; ++i) {
       if (std::isnan(pa[i]) || std::isnan(pb[i])) continue;
-      sum_a += pa[i];
-      sum_b += pb[i];
-      ++n;
+      sa += pa[i];
+      sb += pb[i];
+      ++m;
     }
+    sum_a = sa;
+    sum_b = sb;
+    n = m;
   });
   if (n < 2) return 0.0;
   const double mu_a = sum_a / static_cast<double>(n);
@@ -94,14 +64,20 @@ double PearsonCorrelation(const Column& a, const Column& b) {
   double var_a = 0.0;
   double var_b = 0.0;
   ZipSpans(a, b, [&](const double* pa, const double* pb, size_t len) {
+    double c = cov;
+    double va = var_a;
+    double vb = var_b;
     for (size_t i = 0; i < len; ++i) {
       if (std::isnan(pa[i]) || std::isnan(pb[i])) continue;
       const double da = pa[i] - mu_a;
       const double db = pb[i] - mu_b;
-      cov += da * db;
-      var_a += da * da;
-      var_b += db * db;
+      c += da * db;
+      va += da * da;
+      vb += db * db;
     }
+    cov = c;
+    var_a = va;
+    var_b = vb;
   });
   if (var_a <= 0.0 || var_b <= 0.0) return 0.0;
   double r = cov / std::sqrt(var_a * var_b);
@@ -111,39 +87,15 @@ double PearsonCorrelation(const Column& a, const Column& b) {
   return r;
 }
 
+}  // namespace
+
 double PearsonCorrelation(const std::vector<double>& a,
                           const std::vector<double>& b) {
-  SAFE_CHECK(a.size() == b.size());
-  // Two-pass: means over paired non-missing rows, then moments.
-  double sum_a = 0.0;
-  double sum_b = 0.0;
-  size_t n = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::isnan(a[i]) || std::isnan(b[i])) continue;
-    sum_a += a[i];
-    sum_b += b[i];
-    ++n;
-  }
-  if (n < 2) return 0.0;
-  const double mu_a = sum_a / static_cast<double>(n);
-  const double mu_b = sum_b / static_cast<double>(n);
-  double cov = 0.0;
-  double var_a = 0.0;
-  double var_b = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::isnan(a[i]) || std::isnan(b[i])) continue;
-    const double da = a[i] - mu_a;
-    const double db = b[i] - mu_b;
-    cov += da * db;
-    var_a += da * da;
-    var_b += db * db;
-  }
-  if (var_a <= 0.0 || var_b <= 0.0) return 0.0;
-  double r = cov / std::sqrt(var_a * var_b);
-  // Clamp tiny floating-point excursions outside [-1, 1].
-  if (r > 1.0) r = 1.0;
-  if (r < -1.0) r = -1.0;
-  return r;
+  return PearsonOf(RowSpans(a), RowSpans(b));
+}
+
+double PearsonCorrelation(const Column& a, const Column& b) {
+  return PearsonOf(RowSpans(a), RowSpans(b));
 }
 
 std::vector<std::vector<double>> PearsonMatrix(const DataFrame& frame,

@@ -30,10 +30,9 @@ const char* PearsonBandName(PearsonBand band);
 double PearsonCorrelation(const std::vector<double>& a,
                           const std::vector<double>& b);
 
-/// Storage-agnostic overload: zip-walks the two columns span by span in
-/// ascending row order, so both passes accumulate in exactly the order
-/// the vector overload does — bit-identical results on the same data,
-/// resident, pooled, or mixed.
+/// PearsonCorrelation over two columns' spans: the vector overload's
+/// body, which zip-walks them in ascending row order, so the results are
+/// bit-identical on the same data, resident, pooled, or mixed.
 double PearsonCorrelation(const Column& a, const Column& b);
 
 /// Dense symmetric correlation matrix of all frame columns, with the

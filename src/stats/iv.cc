@@ -30,93 +30,89 @@ const char* IvBandName(IvBand band) {
   return "?";
 }
 
-Result<double> InformationValueWithEdges(const std::vector<double>& feature,
-                                         const std::vector<double>& labels,
-                                         const BinEdges& edges) {
-  if (feature.size() != labels.size()) {
-    return Status::InvalidArgument("IV: feature/label size mismatch");
-  }
-  if (feature.empty()) {
-    return Status::InvalidArgument("IV: empty input");
-  }
-  const size_t num_cells = edges.missing_bin() + 1;
-  std::vector<double> pos(num_cells, 0.0);
-  std::vector<double> neg(num_cells, 0.0);
-  double np = 0.0;
-  double nn = 0.0;
-  for (size_t i = 0; i < feature.size(); ++i) {
-    const size_t b = edges.BinIndex(feature[i]);
-    if (labels[i] > 0.5) {
-      pos[b] += 1.0;
-      np += 1.0;
-    } else {
-      neg[b] += 1.0;
-      nn += 1.0;
-    }
-  }
-  if (np == 0.0 || nn == 0.0) {
-    return Status::InvalidArgument("IV: labels are single-class");
-  }
-  double iv = 0.0;
-  for (size_t b = 0; b < num_cells; ++b) {
-    if (pos[b] == 0.0 && neg[b] == 0.0) continue;
-    // 0.5 pseudo-count keeps WoE finite when a bin is single-class.
-    const double p = (pos[b] > 0.0 ? pos[b] : 0.5) / np;
-    const double q = (neg[b] > 0.0 ? neg[b] : 0.5) / nn;
-    iv += (p - q) * std::log(p / q);
-  }
-  return iv;
-}
+namespace {
 
-Result<double> InformationValue(const std::vector<double>& feature,
-                                const std::vector<double>& labels,
-                                size_t num_bins) {
-  SAFE_ASSIGN_OR_RETURN(BinEdges edges,
-                        EqualFrequencyEdges(feature, num_bins));
-  return InformationValueWithEdges(feature, labels, edges);
-}
-
-Result<double> InformationValue(const Column& feature,
-                                const std::vector<double>& labels,
-                                size_t num_bins) {
+Status CheckIvInputs(const RowSpans& feature,
+                     const std::vector<double>& labels) {
   if (feature.size() != labels.size()) {
     return Status::InvalidArgument("IV: feature/label size mismatch");
   }
   if (feature.size() == 0) {
     return Status::InvalidArgument("IV: empty input");
   }
-  SAFE_ASSIGN_OR_RETURN(BinEdges edges,
-                        EqualFrequencyEdges(feature, num_bins));
+  return Status::OK();
+}
+
+/// Eq. 6 over `feature`'s spans binned by `edges`: the one IV body. The
+/// cell tallies are exact integer counts, so neither the span layout nor
+/// the tally order can change a bit of the result.
+Result<double> IvOf(const RowSpans& feature, const std::vector<double>& labels,
+                    const BinEdges& edges) {
   const size_t num_cells = edges.missing_bin() + 1;
-  std::vector<double> pos(num_cells, 0.0);
-  std::vector<double> neg(num_cells, 0.0);
-  double np = 0.0;
-  double nn = 0.0;
-  feature.ForEachSpan(
-      0, feature.size(), [&](size_t base, const double* values, size_t len) {
-        for (size_t i = 0; i < len; ++i) {
-          const size_t b = edges.BinIndex(values[i]);
-          if (labels[base + i] > 0.5) {
-            pos[b] += 1.0;
-            np += 1.0;
-          } else {
-            neg[b] += 1.0;
-            nn += 1.0;
-          }
-        }
-      });
-  if (np == 0.0 || nn == 0.0) {
+  std::vector<size_t> pos(num_cells, 0);
+  std::vector<size_t> neg(num_cells, 0);
+  feature.ForEach([&](size_t base, const double* values, size_t len) {
+    const double* y = labels.data() + base;
+    for (size_t i = 0; i < len; ++i) {
+      const size_t b = edges.BinIndex(values[i]);
+      if (y[i] > 0.5) {
+        ++pos[b];
+      } else {
+        ++neg[b];
+      }
+    }
+  });
+  size_t np = 0;
+  size_t nn = 0;
+  for (size_t b = 0; b < num_cells; ++b) {
+    np += pos[b];
+    nn += neg[b];
+  }
+  if (np == 0 || nn == 0) {
     return Status::InvalidArgument("IV: labels are single-class");
   }
   double iv = 0.0;
   for (size_t b = 0; b < num_cells; ++b) {
-    if (pos[b] == 0.0 && neg[b] == 0.0) continue;
+    if (pos[b] == 0 && neg[b] == 0) continue;
     // 0.5 pseudo-count keeps WoE finite when a bin is single-class.
-    const double p = (pos[b] > 0.0 ? pos[b] : 0.5) / np;
-    const double q = (neg[b] > 0.0 ? neg[b] : 0.5) / nn;
+    const double p =
+        (pos[b] > 0 ? static_cast<double>(pos[b]) : 0.5) /
+        static_cast<double>(np);
+    const double q =
+        (neg[b] > 0 ? static_cast<double>(neg[b]) : 0.5) /
+        static_cast<double>(nn);
     iv += (p - q) * std::log(p / q);
   }
   return iv;
+}
+
+Result<double> IvOf(const RowSpans& feature, const std::vector<double>& labels,
+                    size_t num_bins) {
+  SAFE_RETURN_NOT_OK(CheckIvInputs(feature, labels));
+  SAFE_ASSIGN_OR_RETURN(BinEdges edges, EqualFrequencyEdges(feature, num_bins));
+  return IvOf(feature, labels, edges);
+}
+
+}  // namespace
+
+Result<double> InformationValueWithEdges(const std::vector<double>& feature,
+                                         const std::vector<double>& labels,
+                                         const BinEdges& edges) {
+  const RowSpans spans(feature);
+  SAFE_RETURN_NOT_OK(CheckIvInputs(spans, labels));
+  return IvOf(spans, labels, edges);
+}
+
+Result<double> InformationValue(const std::vector<double>& feature,
+                                const std::vector<double>& labels,
+                                size_t num_bins) {
+  return IvOf(RowSpans(feature), labels, num_bins);
+}
+
+Result<double> InformationValue(const Column& feature,
+                                const std::vector<double>& labels,
+                                size_t num_bins) {
+  return IvOf(RowSpans(feature), labels, num_bins);
 }
 
 namespace {

@@ -43,10 +43,10 @@ const char* IvBandName(IvBand band);
                                          const std::vector<double>& labels,
                                          const BinEdges& edges);
 
-/// Storage-agnostic InformationValue: fits edges and counts bins by
-/// streaming the column row-group-wise. The bin tallies are integer
-/// counts accumulated in ascending row order either way, so the result
-/// is bit-identical to the vector overload on the same data.
+/// InformationValue over a column's spans: the vector overload's body,
+/// which streams a pooled column row group by row group. The bin tallies
+/// are exact integer counts, so the result is bit-identical to the
+/// vector overload on the same data.
 [[nodiscard]] Result<double> InformationValue(const Column& feature,
                                 const std::vector<double>& labels,
                                 size_t num_bins);

@@ -8,11 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -26,9 +25,10 @@
 #include "src/gbdt/booster.h"
 #include "src/gbdt/forest_layout.h"
 #include "src/obs/report.h"
+#include "src/serve/batch_scorer.h"
+#include "src/serve/block_panel.h"
 #include "src/serve/compiled_plan.h"
 #include "src/serve/scorer.h"
-#include "src/serve/serve_bench.h"
 #include "tests/property_util.h"
 
 namespace safe {
@@ -216,6 +216,32 @@ TEST(CompiledPlanTest, GenericFallbackHandlesCustomOperators) {
     for (size_t s = 0; s < expected->size(); ++s) {
       EXPECT_TRUE(SameBits((*expected)[s], (*actual)[s]))
           << "row " << r << " slot " << s;
+    }
+  }
+
+  // The same program over whole blocks: ExecuteBlock's generic branch,
+  // which the row path runs on one lane, must give every lane the bits
+  // TransformRow gives its row, at the batch scorer's block stride and
+  // with the whole frame as one block.
+  std::vector<std::vector<double>> rows;
+  for (size_t r = 0; r < x.num_rows(); ++r) rows.push_back(x.Row(r));
+  for (const size_t stride : {serve::BatchScorer::kBlockRows, rows.size()}) {
+    std::vector<double> panels(compiled->scratch_size() * stride);
+    for (size_t lo = 0; lo < rows.size(); lo += stride) {
+      const size_t n = std::min(stride, rows.size() - lo);
+      serve::GatherBlock(rows, lo, n, compiled->num_inputs(), stride,
+                         panels.data());
+      compiled->ExecuteBlock(panels.data(), stride, n);
+      for (size_t i = 0; i < n; ++i) {
+        auto expected = plan->TransformRow(rows[lo + i], registry);
+        ASSERT_TRUE(expected.ok());
+        for (size_t s = 0; s < expected->size(); ++s) {
+          const double actual =
+              panels[compiled->selected_slots()[s] * stride + i];
+          EXPECT_TRUE(SameBits((*expected)[s], actual))
+              << "stride " << stride << " row " << lo + i << " slot " << s;
+        }
+      }
     }
   }
 }
@@ -421,40 +447,6 @@ TEST(RowScorerTest, RejectsMismatchedBoosterAndRow) {
   std::vector<double> out;
   EXPECT_FALSE(scorer->ScoreBatch({short_row}, &out).ok());
   EXPECT_FALSE(scorer->ScoreBatch({}, nullptr).ok());
-}
-
-TEST(ServeBenchTest, GateBaselineIsReadable) {
-  EXPECT_FALSE(serve::ReadServingGate("/nonexistent/serving.json").ok());
-
-  // A baseline in the committed format parses all three gate knobs; the
-  // overhead budget and batch floor stay optional (0 = disabled) for
-  // older baselines.
-  const std::string path = ::testing::TempDir() + "/serving_gate.json";
-  {
-    std::ofstream out(path);
-    out << R"({"min_speedup": 2.0, "min_batch_speedup": 3.5,)"
-        << R"( "max_recorder_overhead_pct": 3.0})";
-  }
-  auto gate = serve::ReadServingGate(path);
-  ASSERT_TRUE(gate.ok()) << gate.status().ToString();
-  EXPECT_EQ(gate->min_speedup, 2.0);
-  EXPECT_EQ(gate->min_batch_speedup, 3.5);
-  EXPECT_EQ(gate->max_recorder_overhead_pct, 3.0);
-  {
-    std::ofstream out(path);
-    out << R"({"min_speedup": 1.5})";
-  }
-  auto legacy = serve::ReadServingGate(path);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(legacy->min_speedup, 1.5);
-  EXPECT_EQ(legacy->min_batch_speedup, 0.0);
-  EXPECT_EQ(legacy->max_recorder_overhead_pct, 0.0);
-  {
-    std::ofstream out(path);
-    out << R"({"min_speedup": 1.5, "min_batch_speedup": "high"})";
-  }
-  EXPECT_FALSE(serve::ReadServingGate(path).ok());
-  std::remove(path.c_str());
 }
 
 }  // namespace
